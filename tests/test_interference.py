@@ -114,6 +114,36 @@ class TestDecision:
         assert not decisions["abaab"].interference_free
 
 
+class TestPinnedWitnesses:
+    """Exact witnesses, so a change of decision path cannot silently change
+    which factorization is reported."""
+
+    @pytest.mark.parametrize(
+        "spec, u, described, y_symbols, donor_x, donor_z",
+        [
+            # z empty with two candidate x (a and aa): the longest x is reported
+            ("a->a;b->baa", "aab", "x=aa y=b z=.", ("b",), "b", None),
+            # z nonempty: smallest |x|, then leftmost acceptance
+            ("a->ab;b->a", "abaab", "x=. y=abaa z=a", ("a", "b", "a", "a"), None, "a"),
+            ("a->abba;b->b", "b", "inner host=a offset=2", (), None, None),
+        ],
+    )
+    def test_table(self, spec, u, described, y_symbols, donor_x, donor_z):
+        w = is_interference_free_on(Morphism.parse(spec), word(u)).witness
+        assert w.describe() == described
+        assert w.y_symbols == y_symbols
+        assert w.donor_x == donor_x
+        assert w.donor_z == donor_z
+
+    def test_non_injective_override_keeps_x(self):
+        phi = Morphism.parse("a->b;b->c;c->ccc")
+        decision = is_interference_free_on(phi, word("cbcaaa"), allow_non_injective=True)
+        w = decision.witness
+        assert decision.injectivity_overridden
+        assert w.x == "cc" and w.z == ""
+        assert reassembles(phi, w, phi.apply_text("cbcaaa"))
+
+
 class TestStrong:
     def test_classification(self):
         decision = is_strongly_interference_free(FIB)
