@@ -1,18 +1,21 @@
 """Aho-Corasick dictionary matching over the image set of a morphism.
 
-The automaton is the classic goto/failure/output construction.  On top of
-the plain match stream it exposes the three scan artifacts used by the
+The automaton is the classic goto/failure/output construction.  One forward
+scan of a text ``w`` of length n yields the scan artifacts used by the
 interference decision:
 
-* ``S``       -- for each text position, the source symbols whose image
-                 occurs there;
-* ``P_pref``  -- positions i such that the prefix ``w[1..i]`` is a proper
-                 suffix of some image (computed with the automaton built
-                 over the reversed images, scanning the reversed text);
+* the match stream -- every image occurrence, in order of increasing end
+                 position; ``S`` groups it by start position;
 * ``P_suf``   -- positions i such that the suffix ``w[i..n]`` is a proper
                  prefix of some image (computed by walking failure links
                  from the final state; a node qualifies iff it is not a
-                 leaf, and the walk stops at the root).
+                 leaf, and the walk stops at the root);
+* ``P_pref``  -- positions i such that the prefix ``w[1..i]`` is a proper
+                 suffix of some image.  These are the borders between the
+                 image suffixes and the first ``|img| - 1`` symbols of w:
+                 the Z-function of that head of w and one Z-based matching
+                 pass per image (Gusfield 1997) find them in O(sum of
+                 |img|), with no second pass over w.
 """
 
 from __future__ import annotations
@@ -36,23 +39,31 @@ class _Node:
         self.outputs: list[tuple[str, int]] = []  # (pattern id, pattern length)
         self.depth = depth
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass(frozen=True)
 class ScanResult:
     """Scan artifacts for a text ``w`` of length ``n`` under a morphism.
 
-    ``s`` is sparse: only positions with at least one matching image appear.
-    ``occ_total`` is the total number of image occurrences in ``w``.
+    ``matches`` holds every image occurrence as (0-based start, length,
+    source symbol), in order of increasing end position.  ``s`` is sparse:
+    only positions with at least one matching image appear.  ``occ_total``
+    is the total number of image occurrences in ``w``.
     """
 
-    s: dict[int, tuple[str, ...]]
+    matches: list[tuple[int, int, str]]
     p_pref: frozenset[int]
     p_suf: frozenset[int]
-    occ_total: int
+
+    @cached_property
+    def s(self) -> dict[int, tuple[str, ...]]:
+        by_start: dict[int, list[str]] = {}
+        for start0, _length, pid in self.matches:
+            by_start.setdefault(start0 + 1, []).append(pid)
+        return {pos: tuple(sorted(ids)) for pos, ids in sorted(by_start.items())}
+
+    @property
+    def occ_total(self) -> int:
+        return len(self.matches)
 
 
 class DictionaryMatcher:
@@ -61,10 +72,9 @@ class DictionaryMatcher:
     def __init__(self, patterns: Sequence[tuple[str, str]]):
         if not patterns:
             raise ValueError("pattern set must be nonempty")
-        self._patterns = tuple(patterns)
         self._root = _Node(0)
         alphabet: set[str] = set()
-        for text, pid in self._patterns:
+        for text, pid in patterns:
             if not text:
                 raise ErasingImageError(f"empty pattern for id {pid!r}")
             alphabet.update(text)
@@ -78,10 +88,6 @@ class DictionaryMatcher:
             node.outputs.append((pid, len(text)))
         self._alphabet = tuple(sorted(alphabet))
         self._build_links()
-
-    @classmethod
-    def build(cls, patterns: Sequence[tuple[Word | str, str]]) -> "DictionaryMatcher":
-        return cls([(str(p), pid) for p, pid in patterns])
 
     @classmethod
     def for_morphism(cls, phi: Morphism) -> "DictionaryMatcher":
@@ -110,11 +116,6 @@ class DictionaryMatcher:
                         node.goto[ch] = child
                         nxt.append(child)
             queue = nxt
-
-    @cached_property
-    def reversed_matcher(self) -> "DictionaryMatcher":
-        """Matcher over the reversed patterns (same ids)."""
-        return DictionaryMatcher([(p[::-1], pid) for p, pid in self._patterns])
 
     # -- scanning -------------------------------------------------------------
 
@@ -150,23 +151,56 @@ def matcher_for(phi: Morphism) -> DictionaryMatcher:
     return DictionaryMatcher.for_morphism(phi)
 
 
-def build(patterns: Sequence[tuple[Word | str, str]]) -> DictionaryMatcher:
-    return DictionaryMatcher.build(patterns)
+def _z_function(s: str) -> list[int]:
+    """z[k] = length of the longest common prefix of s and s[k:]."""
+    n = len(s)
+    z = [n] * n
+    left = right = 0
+    for k in range(1, n):
+        length = min(right - k, z[k - left]) if k < right else 0
+        while k + length < n and s[length] == s[k + length]:
+            length += 1
+        z[k] = length
+        if k + length > right:
+            left, right = k, k + length
+    return z
 
 
-def scan(matcher: DictionaryMatcher, phi: Morphism, w: Word | str) -> ScanResult:
-    """Compute S(w), P_pref(w) and P_suf(w) for ``w`` under ``phi``."""
+def _prefix_borders(text: str, images: Sequence[str]) -> frozenset[int]:
+    """P_pref: lengths i >= 1 such that ``text[:i]`` is a proper suffix of
+    some image.
+
+    With z the Z-function of the head ``text[:max|img| - 1]``, one left-to-
+    right pass over an image computes lcp(image[k:], head) for every k, as
+    in Gusfield's Z-based matching; the suffix ``image[k:]`` is a prefix of
+    the text iff that lcp reaches the image's end.
+    """
+    head = text[: max(map(len, images)) - 1]
+    z = _z_function(head)
+    m = len(head)
+    out: set[int] = set()
+    for img in images:
+        size = len(img)
+        left = right = 0  # img[left:right] == head[:right - left]
+        for k in range(1, size):
+            length = min(right - k, z[k - left]) if k < right else 0
+            while length < m and k + length < size and head[length] == img[k + length]:
+                length += 1
+            if k + length == size:
+                out.add(length)
+            if k + length > right:
+                left, right = k, k + length
+    return frozenset(out)
+
+
+def scan(phi: Morphism, w: Word | str) -> ScanResult:
+    """Match stream, P_pref(w) and P_suf(w) for ``w`` under ``phi``, from one
+    forward scan of ``w``."""
+    if not phi.is_non_erasing:
+        erased = ", ".join(c for c, img in phi.images if not img)
+        raise ErasingImageError(f"image factorizations need nonempty images; erased: {erased}")
     text = str(w)
-    n = len(text)
-    fwd_matches, final_f = matcher.matches(text)
-    rev = matcher.reversed_matcher
-    _, final_r = rev.matches(text[::-1])
-
-    s: dict[int, list[str]] = {}
-    for start0, _length, pid in fwd_matches:
-        s.setdefault(start0 + 1, []).append(pid)
-    s_sorted = {pos: tuple(sorted(ids)) for pos, ids in sorted(s.items())}
-
-    p_suf = frozenset(matcher.boundary_positions(final_f, n))
-    p_pref = frozenset(n - j + 1 for j in rev.boundary_positions(final_r, n))
-    return ScanResult(s_sorted, p_pref, p_suf, len(fwd_matches))
+    matcher = matcher_for(phi)
+    matches, final = matcher.matches(text)
+    p_suf = frozenset(matcher.boundary_positions(final, len(text)))
+    return ScanResult(matches, _prefix_borders(text, phi.image_texts), p_suf)

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import classic, repeats
-from .aho_corasick import matcher_for, scan
+from .aho_corasick import scan
 from .enumeration import is_recognizable_on
 from .errors import MorphlabError
 from .interference import is_interference_free_on, is_strongly_interference_free
@@ -234,10 +234,9 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     phi = classic.FIBONACCI
     prev: float | None = None
-    code = 0
     for i in range(args.min_order, args.max_order + 1):
         u = classic.fibonacci_word(i)
-        n = len(phi.apply(u))
+        n = len(phi.apply_text(u.text))
         t0 = time.perf_counter()
         is_interference_free_on(phi, u)
         elapsed = time.perf_counter() - t0
@@ -245,13 +244,13 @@ def _cmd_bench(args) -> int:
         prev = elapsed
         print(machine_line(command="bench", order=i, n=n,
                            seconds=f"{elapsed:.6f}", ratio=f"{ratio:.3f}"))
-    return code
+    return 0
 
 
 def _cmd_scan_debug(args) -> int:
     phi = _morphism_arg(args.morphism)
     w = _word_arg(args.word)
-    result = scan(matcher_for(phi), phi, w)
+    result = scan(phi, w)
     for pos in sorted(result.s):
         print(f"S[{pos}] = {','.join(result.s[pos])}")
     print(f"P_pref = {sorted(result.p_pref)}")

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, NonInjectiveMorphismError
-from .interference import INTERFERED_FACTORIZATION, InterferenceWitness
+from .interference import INTERFERED_FACTORIZATION, InterferenceWitness, affix_donor
 from .morphisms import Morphism
 from .words import Word
 
@@ -147,8 +147,8 @@ def enumerate_interfered_factorizations(
                         x=x,
                         y_symbols=y_symbols,
                         z=z,
-                        donor_x=_donor(phi, x, suffix=True),
-                        donor_z=_donor(phi, z, suffix=False),
+                        donor_x=affix_donor(phi, x, suffix=True),
+                        donor_z=affix_donor(phi, z, suffix=False),
                     )
                 )
                 if len(out) > budget.max_factorizations:
@@ -156,14 +156,6 @@ def enumerate_interfered_factorizations(
                         "interfered factorization count exceeds the enumeration budget"
                     )
     return out
-
-
-def _donor(phi: Morphism, part: str, *, suffix: bool) -> str | None:
-    if not part:
-        return None
-    if suffix:
-        return min(c for c, img in phi.images if len(img) > len(part) and img.endswith(part))
-    return min(c for c, img in phi.images if len(img) > len(part) and img.startswith(part))
 
 
 def _splits(phi: Morphism):

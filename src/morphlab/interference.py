@@ -7,24 +7,29 @@ An injective morphism phi interferes on u when phi(u) either
   with x . z nonempty -- or
 * sits strictly inside a single image (touching neither end).
 
-The decision runs two passes of a forward dynamic program over the match
-stream of the Aho-Corasick automaton.  The first pass finds factorizations
-with z nonempty; the mirrored pass (reversed images on the reversed text)
-finds those with x nonempty.  The DP table C is indexed 0..n with C[j] = 1
-iff the prefix w[1..j] splits as x . y; C[0] covers the x = y = empty base
-case, positions in P_pref seed the nonempty-x cases, matches of images
-propagate forward, and the word is factorizable iff C[j-1] holds for some
-j in P_suf.  Instead of bits we propagate the minimal |x| that reaches each
-position, which yields a canonical witness (smallest |x|, then leftmost
-acceptance) by backtracking stored predecessors.
+One forward scan of w = phi(u) (see :func:`aho_corasick.scan`) yields the
+image match stream and the boundary sets P_pref and P_suf.  A forward
+dynamic program over that match stream then answers both factorization
+cases.  The DP table C is indexed 0..n with C[j] = 1 iff the prefix
+w[1..j] splits as x . y; seeds place the possible ends of x and matches of
+images propagate forward.  Instead of bits we propagate the minimal seed
+value that reaches each position, and backtrack stored predecessors to a
+witness.
+
+* Pass 1 finds witnesses with z nonempty: it seeds C[0] (x empty) and every
+  i in P_pref with value |x|, and accepts at j in P_suf when C[j-1] holds.
+  Its witness has the smallest |x|, then the leftmost acceptance.
+* Only when pass 1 fails does the z-empty case remain: x nonempty and
+  C[n] = 1.  The same DP over the same match stream answers it, seeded only
+  from P_pref with value -|x|, so the longest x is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aho_corasick import matcher_for
-from .errors import ErasingImageError, NonInjectiveMorphismError
+from .aho_corasick import ScanResult, scan
+from .errors import NonInjectiveMorphismError
 from .morphisms import Morphism
 from .words import Word
 
@@ -122,19 +127,17 @@ def _require_injective(phi: Morphism, allow_non_injective: bool) -> bool:
     return True
 
 
-def _min_seed_dp(n, matches, seeds, accepts):
+def _forward_dp(n, matches, seeds, accepts):
     """Forward DP over the end-sorted match stream.
 
-    ``seeds`` maps a table index to the |x| value it encodes; ``accepts`` are
+    ``seeds`` maps a table index to the seed value it encodes; ``accepts`` are
     candidate 1-based positions j (acceptance needs table index j-1 set).
-    Returns (j, minseed, parent) for the accepting j minimizing
-    (|x|, j), or None.
+    Returns (the accepting j minimizing (value, j) or None, minseed, parent).
     """
     minseed = [_INF] * (n + 1)
     parent: list[tuple[int, str] | None] = [None] * (n + 1)
     for idx, value in seeds.items():
-        if value < minseed[idx]:
-            minseed[idx] = value
+        minseed[idx] = value
     for p, length, sym in matches:
         v = minseed[p]
         if v < minseed[p + length]:
@@ -145,80 +148,68 @@ def _min_seed_dp(n, matches, seeds, accepts):
         v = minseed[j - 1]
         if v < _INF and (best is None or v < best[0]):
             best = (v, j)
-    if best is None:
-        return None
-    return best[1], minseed, parent
+    return (None if best is None else best[1]), minseed, parent
 
 
-def _backtrack(j, minseed, parent):
-    """Recover (x length, y symbol sequence) for the acceptance at j."""
+def _backtrack(text, j, parent):
+    """Recover (x, y symbol sequence, z) for the acceptance at j."""
     pos = j - 1
     syms: list[str] = []
     while parent[pos] is not None:
-        p, sym = parent[pos]
+        pos, sym = parent[pos]
         syms.append(sym)
-        pos = p
     syms.reverse()
-    return pos, tuple(syms)
+    return text[:pos], tuple(syms), text[j - 1:]
 
 
-def _scan_artifacts(phi: Morphism, text: str):
-    """Match streams and boundary sets for text and its mirror image."""
-    n = len(text)
-    fwd = matcher_for(phi)
-    rev = fwd.reversed_matcher
-    matches_f, final_f = fwd.matches(text)
-    matches_r, final_r = rev.matches(text[::-1])
-    p_suf = set(fwd.boundary_positions(final_f, n))
-    p_pref = {n - j + 1 for j in rev.boundary_positions(final_r, n)}
-    return matches_f, matches_r, p_pref, p_suf
+def _pass1(text: str, artifacts: ScanResult):
+    """Witnesses with z nonempty: x empty or in P_pref, acceptance in P_suf."""
+    seeds = {i: i for i in artifacts.p_pref}
+    seeds[0] = 0
+    return _forward_dp(len(text), artifacts.matches, seeds, artifacts.p_suf)
 
 
-def _suffix_donor(phi: Morphism, x: str) -> str | None:
-    if not x:
+def affix_donor(phi: Morphism, part: str, *, suffix: bool) -> str | None:
+    """The smallest source symbol whose image has ``part`` as a proper
+    suffix (or prefix); None for an empty part."""
+    if not part:
         return None
-    return min(c for c, img in phi.images if len(img) > len(x) and img.endswith(x))
-
-
-def _prefix_donor(phi: Morphism, z: str) -> str | None:
-    if not z:
-        return None
-    return min(c for c, img in phi.images if len(img) > len(z) and img.startswith(z))
+    fits = str.endswith if suffix else str.startswith
+    return min(c for c, img in phi.images if len(img) > len(part) and fits(img, part))
 
 
 def factorizable(phi: Morphism, w: Word | str) -> FactorizableResult:
     """True iff w = x . y . z with x a possibly-empty proper image suffix,
     y a concatenation of images and z a NONEMPTY proper image prefix."""
-    if not phi.is_non_erasing:
-        raise ErasingImageError("factorizable requires a non-erasing morphism")
     text = str(w)
     if not text:
         raise ValueError("factorizable is defined for nonempty words")
+    j, minseed, parent = _pass1(text, scan(phi, text))
+    table = FactorizableTable(tuple(1 if v < _INF else 0 for v in minseed))
+    if j is None:
+        return FactorizableResult(False, table=table)
+    x, y_symbols, z = _backtrack(text, j, parent)
+    return FactorizableResult(True, x=x, y_symbols=y_symbols, z=z, table=table)
+
+
+def _factorization_witness(phi: Morphism, text: str) -> InterferenceWitness | None:
     n = len(text)
-    matches_f, _, p_pref, p_suf = _scan_artifacts(phi, text)
-    seeds = {0: 0}
-    for i in p_pref:
-        seeds[i] = i
-    hit = _min_seed_dp(n, matches_f, seeds, p_suf)
-    if hit is None:
-        # still expose the reachability table for inspection
-        minseed = [_INF] * (n + 1)
-        for idx, value in seeds.items():
-            minseed[idx] = value
-        for p, length, sym in matches_f:
-            if minseed[p] < _INF:
-                minseed[p + length] = min(minseed[p + length], minseed[p])
-        bits = tuple(1 if v < _INF else 0 for v in minseed)
-        return FactorizableResult(False, table=FactorizableTable(bits))
-    j, minseed, parent = hit
-    xlen, y_symbols = _backtrack(j, minseed, parent)
-    bits = tuple(1 if v < _INF else 0 for v in minseed)
-    return FactorizableResult(
-        True,
-        x=text[:xlen],
+    artifacts = scan(phi, text)
+    j, _, parent = _pass1(text, artifacts)
+    if j is None and artifacts.p_pref:
+        # z empty: x nonempty and phi(u) = x . y; -|x| prefers the longest x
+        seeds = {i: -i for i in artifacts.p_pref}
+        j, _, parent = _forward_dp(n, artifacts.matches, seeds, (n + 1,))
+    if j is None:
+        return None
+    x, y_symbols, z = _backtrack(text, j, parent)
+    return InterferenceWitness(
+        INTERFERED_FACTORIZATION,
+        x=x,
         y_symbols=y_symbols,
-        z=text[j - 1:],
-        table=FactorizableTable(bits),
+        z=z,
+        donor_x=affix_donor(phi, x, suffix=True),
+        donor_z=affix_donor(phi, z, suffix=False),
     )
 
 
@@ -243,48 +234,8 @@ def is_interference_free_on(
     if len(u) == 0:
         raise ValueError("interference-freeness is defined for nonempty words")
     text = phi.apply_text(u.text)
-    n = len(text)
-    matches_f, matches_r, p_pref, p_suf = _scan_artifacts(phi, text)
-
-    # Pass 1: witnesses with z nonempty (x possibly empty).
-    seeds = {0: 0}
-    for i in p_pref:
-        seeds[i] = i
-    hit = _min_seed_dp(n, matches_f, seeds, p_suf)
-    if hit is not None:
-        j, minseed, parent = hit
-        xlen, y_symbols = _backtrack(j, minseed, parent)
-        x, z = text[:xlen], text[j - 1:]
-        witness = InterferenceWitness(
-            INTERFERED_FACTORIZATION,
-            x=x,
-            y_symbols=y_symbols,
-            z=z,
-            donor_x=_suffix_donor(phi, x),
-            donor_z=_prefix_donor(phi, z),
-        )
-        return InterferenceDecision(False, witness, overridden)
-
-    # Pass 2 on the mirror image: witnesses with x nonempty (z possibly empty).
-    seeds_r = {0: 0}
-    for j in p_suf:
-        seeds_r[n - j + 1] = n - j + 1
-    accepts_r = {n - i + 1 for i in p_pref}
-    hit = _min_seed_dp(n, matches_r, seeds_r, accepts_r)
-    if hit is not None:
-        j, minseed, parent = hit
-        xlen_r, y_symbols_r = _backtrack(j, minseed, parent)
-        # map the mirrored witness (x', y', z') back: x = z'^R, z = x'^R
-        x = text[: n - j + 1]
-        z = text[n - xlen_r:]
-        witness = InterferenceWitness(
-            INTERFERED_FACTORIZATION,
-            x=x,
-            y_symbols=tuple(reversed(y_symbols_r)),
-            z=z,
-            donor_x=_suffix_donor(phi, x),
-            donor_z=_prefix_donor(phi, z),
-        )
+    witness = _factorization_witness(phi, text)
+    if witness is not None:
         return InterferenceDecision(False, witness, overridden)
 
     inner = is_inner_image_factor(phi, text)

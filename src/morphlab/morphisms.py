@@ -26,18 +26,6 @@ _EPSILON = "."
 
 
 @dataclass(frozen=True)
-class ImageSet:
-    """Distinct images of a morphism plus the total image length ``m``.
-
-    ``total_length`` sums ``|phi(c)|`` over all source symbols, so duplicate
-    images still contribute once per symbol.
-    """
-
-    images: tuple[Word, ...]
-    total_length: int
-
-
-@dataclass(frozen=True)
 class Morphism:
     """A total map from source symbols to image words over the target alphabet."""
 
@@ -108,18 +96,9 @@ class Morphism:
         return Word(self.image_map[c], self.target)
 
     @cached_property
-    def image_set(self) -> ImageSet:
-        seen: list[Word] = []
-        for _, img in self.images:
-            w = Word(img, self.target)
-            if w not in seen:
-                seen.append(w)
-        return ImageSet(tuple(seen), sum(len(img) for _, img in self.images))
-
-    @cached_property
     def image_texts(self) -> tuple[str, ...]:
         """Distinct image texts, in source-symbol order of first appearance."""
-        return tuple(w.text for w in self.image_set.images)
+        return tuple(dict.fromkeys(img for _, img in self.images))
 
     @cached_property
     def proper_image_prefixes(self) -> frozenset[str]:
@@ -242,32 +221,6 @@ def _injectivity_witness(
         if completions:
             return min((min(u, v), max(u, v)) for u, v in completions)
     return None
-
-
-# -- function-style aliases ---------------------------------------------------
-
-def apply(phi: Morphism, u: Word) -> Word:
-    return phi.apply(u)
-
-
-def iterate(phi: Morphism, u: Word, k: int) -> Word:
-    return phi.iterate(u, k)
-
-
-def is_injective(phi: Morphism) -> bool:
-    return phi.is_injective
-
-
-def reversal_morphism(phi: Morphism) -> Morphism:
-    return phi.reversal()
-
-
-def is_non_erasing(phi: Morphism) -> bool:
-    return phi.is_non_erasing
-
-
-def uniform_length(phi: Morphism) -> int | None:
-    return phi.uniform_length
 
 
 def parse_morphism(spec: str, target: Alphabet | None = None) -> Morphism:

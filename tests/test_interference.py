@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from morphlab import (
     Morphism,
@@ -106,12 +108,43 @@ class TestDecision:
         with pytest.raises(ValueError):
             is_interference_free_on(FIB, word(""))
 
+    def test_erasing_image_rejected_at_entry(self):
+        erasing = Morphism.parse("a->ab;b->.")
+        with pytest.raises(ErasingImageError, match="erased: b"):
+            is_interference_free_on(erasing, word("a"), allow_non_injective=True)
+
     def test_language_loop(self):
         decisions = is_interference_free_on_language(
             FIB, [word("abaaba"), word("abaab")]
         )
         assert decisions["abaaba"].interference_free
         assert not decisions["abaab"].interference_free
+
+
+@st.composite
+def morphism_and_word(draw):
+    """2-4 source symbols, images of length 1..5 over {a, b, c}, and a
+    nonempty source word of length <= 6."""
+    source = "abcd"[: draw(st.integers(2, 4))]
+    image = st.text(alphabet="abc", min_size=1, max_size=5)
+    phi = Morphism.from_map({c: draw(image) for c in source})
+    u = draw(st.text(alphabet=source, min_size=1, max_size=6))
+    return phi, word(u)
+
+
+class TestDifferential:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(morphism_and_word())
+    def test_agrees_with_brute_force(self, case):
+        phi, u = case
+        assume(phi.is_injective)
+        decision = is_interference_free_on(phi, u)
+        assert bool(decision) == brute_force_is_interference_free(phi, u)
+        w = decision.witness
+        if w is not None and w.kind == "interfered_factorization":
+            assert w.x == "" or w.x in phi.proper_image_suffixes
+            assert w.z == "" or w.z in phi.proper_image_prefixes
+            assert reassembles(phi, w, phi.apply_text(u.text))
 
 
 class TestPinnedWitnesses:

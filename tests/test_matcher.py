@@ -57,7 +57,7 @@ class TestBuild:
 class TestScanArtifacts:
     def test_fibonacci_example(self):
         phi = Morphism.parse("a->ab;b->a")
-        result = scan(matcher_for(phi), phi, "abaababa")
+        result = scan(phi, "abaababa")
         assert result.s[1] == ("a", "b")
         assert result.p_pref == frozenset()
         assert result.p_suf == {8}
@@ -70,10 +70,17 @@ class TestScanArtifacts:
             for ia, ib in product(images[:7], repeat=2)
         ]
         texts = ["".join(p) for n in range(1, 8) for p in product("ab", repeat=n)]
+        # ternary images of length <= 4 with periodic and bordered shapes
+        ternary = ("abca", "caba", "aaca", "bcb", "cabc", "ccc", "abcc", "bacb", "c")
+        morphs += [
+            Morphism.from_map({"a": ia, "b": ib, "c": ic})
+            for ia, ib, ic in product(ternary, repeat=3)
+            if len({ia, ib, ic}) == 3
+        ][::7]
+        texts += ["".join(p) for n in range(1, 7) for p in product("abc", repeat=n)]
         for phi in morphs:
-            matcher = DictionaryMatcher.for_morphism(phi)
             for text in texts:
-                result = scan(matcher, phi, text)
+                result = scan(phi, text)
                 s, p_pref, p_suf = naive_artifacts(phi, text)
                 assert result.s == s, (phi.format(), text)
                 assert set(result.p_pref) == p_pref, (phi.format(), text)

@@ -78,7 +78,6 @@ class TestPredicates:
     def test_image_set_totals(self):
         m = Morphism.parse("a->ab;b->ab")
         assert m.image_texts == ("ab",)
-        assert m.image_set.total_length == 4
 
 
 class TestInjectivity:
