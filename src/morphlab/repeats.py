@@ -3,10 +3,11 @@
 A MUS is a unique substring both of whose one-symbol trims are repeated
 (the empty trim of a length-1 MUS counts as repeated).  A net occurrence is
 an occurrence of a repeated substring whose one-symbol extensions are both
-unique, out-of-range extensions counting as unique.  Both are computed from
+unique, out-of-range extensions counting as unique.  MUSs are computed from
 the array l(i) of shortest-unique-substring lengths per start position,
-derived from a suffix array with LCPs; naive substring-counting versions
-serve as oracles at small scale.
+derived from a suffix array with LCPs; net occurrences are the gaps between
+consecutive MUS occurrences.  Naive substring-counting versions serve as
+oracles at small scale.
 
 All reported intervals are 1-based and inclusive.
 """
@@ -48,26 +49,23 @@ class NetOccurrence:
 # -- suffix structures --------------------------------------------------------
 
 def suffix_array(text: str) -> list[int]:
-    """Suffix array by prefix doubling; O(n log^2 n), fine at desk scale."""
+    """Suffix array by prefix doubling (Manber & Myers 1993), starting from
+    the order by symbol and stopping once all ranks are distinct: O(n log^2 n)
+    time, O(n) memory."""
     n = len(text)
-    sa = sorted(range(n), key=lambda i: text[i:])  # seeds the rank below
+    sa = sorted(range(n), key=text.__getitem__)
     rank = [0] * n
-    order = sorted(range(n), key=text.__getitem__)
-    r = 0
-    for idx, i in enumerate(order):
-        if idx and text[i] != text[order[idx - 1]]:
-            r += 1
-        rank[i] = r
+    for idx in range(1, n):
+        rank[sa[idx]] = rank[sa[idx - 1]] + (text[sa[idx]] != text[sa[idx - 1]])
     k = 1
-    while k < n:
-        key = lambda i: (rank[i], rank[i + k] if i + k < n else -1)
-        sa.sort(key=key)
-        new = [0] * n
+    while sa and rank[sa[-1]] < n - 1:
+        # the pair (rank[i], rank[i + k] or -1 past the end) packed into one
+        # int: same order as the tuple, faster to build, sort and compare
+        keys = [a * (n + 1) + b for a, b in zip(rank, rank[k:] + [-1] * k)]
+        sa.sort(key=keys.__getitem__)
+        # in place: keys hold the old ranks, and rank[sa[0]] stays 0
         for idx in range(1, n):
-            new[sa[idx]] = new[sa[idx - 1]] + (key(sa[idx]) != key(sa[idx - 1]))
-        rank = new
-        if rank[sa[-1]] == n - 1:
-            break
+            rank[sa[idx]] = rank[sa[idx - 1]] + (keys[sa[idx]] != keys[sa[idx - 1]])
         k *= 2
     return sa
 
@@ -129,23 +127,11 @@ def compute_mus(w: Word) -> list[MusOccurrence]:
 
 
 def compute_net_occurrences(w: Word) -> list[NetOccurrence]:
-    """All net occurrences of w, sorted by start position."""
-    text = w.text
-    if not text:
+    """All net occurrences of w, sorted by start position: the gaps between
+    consecutive MUS occurrences (see ``mus_to_net``)."""
+    if not w.text:
         raise ValueError("net occurrences are defined for nonempty words")
-    n = len(text)
-    l = shortest_unique_lengths(text)
-    out: list[NetOccurrence] = []
-    for i in range(n):
-        if l[i] != _INF and l[i] >= 2:
-            # right extension unique and in range: end at i + l[i] - 2
-            if i == 0 or l[i - 1] <= l[i]:
-                out.append(NetOccurrence(i + 1, i + l[i] - 1))
-        if l[i] == _INF and (i == 0 or l[i - 1] != _INF):
-            # whole suffix repeated; right extension out of range
-            out.append(NetOccurrence(i + 1, n))
-    out.sort()
-    return out
+    return mus_to_net(compute_mus(w), len(w))
 
 
 def mus_to_net(mus_list: list[MusOccurrence], n: int) -> list[NetOccurrence]:

@@ -21,13 +21,13 @@ from morphlab import (
     Morphism,
     brute_force_is_interference_free,
     compute_mus,
-    compute_net_occurrences,
     count_circular_factorizations,
     fibonacci_word,
     is_interference_free_on,
     is_recognizable_on,
     is_strongly_interference_free,
     mus_to_net,
+    naive_net_occurrences,
     structural_checks,
     thue_morse_word,
     verify_fibonacci_mus,
@@ -200,18 +200,16 @@ def test_criterion_7_mus_closed_forms():
 
 
 def test_criterion_8_net_closed_forms_and_duality():
+    # compute_net_occurrences is mus_to_net over compute_mus, so the duality
+    # is checked against the definition, not against that function
     duality_ok = all(
-        mus_to_net(compute_mus(w), len(w)) == compute_net_occurrences(w)
+        mus_to_net(compute_mus(w), len(w)) == naive_net_occurrences(w)
         for w in binary_words(14)
-    )
-    family_ok = all(
-        mus_to_net(compute_mus(w), len(w)) == compute_net_occurrences(w)
-        for w in [fibonacci_word(i) for i in range(7, 19)]
-        + [thue_morse_word(i) for i in range(5, 15)]
+        + [word("".join(p)) for n in range(1, 9) for p in product("abc", repeat=n)]
     )
     closed = verify_net_closed_forms(range(7, 19), range(5, 15))
     report(8, "net-occurrence closed forms and MUS/net duality",
-           duality_ok and family_ok and closed.passed)
+           duality_ok and closed.passed)
 
 
 def test_criterion_9_occurrence_constancy():
