@@ -6,16 +6,20 @@ an occurrence of a repeated substring whose one-symbol extensions are both
 unique, out-of-range extensions counting as unique.  MUSs are computed from
 the array l(i) of shortest-unique-substring lengths per start position,
 derived from a suffix array with LCPs; net occurrences are the gaps between
-consecutive MUS occurrences.  Naive substring-counting versions serve as
-oracles at small scale.
+consecutive MUS occurrences.  The suffix array is built by SA-IS in O(n) time
+and O(n) memory, with recursion depth at most log2 n since each level at
+least halves the length; symbols are ordered by code point.  Naive
+substring-counting versions serve as oracles at small scale.
 
 All reported intervals are 1-based and inclusive.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, compress, islice
+from operator import gt
 
 from .interference import is_interference_free_on
 from .morphisms import Morphism
@@ -49,25 +53,99 @@ class NetOccurrence:
 # -- suffix structures --------------------------------------------------------
 
 def suffix_array(text: str) -> list[int]:
-    """Suffix array by prefix doubling (Manber & Myers 1993), starting from
-    the order by symbol and stopping once all ranks are distinct: O(n log^2 n)
-    time, O(n) memory."""
-    n = len(text)
-    sa = sorted(range(n), key=text.__getitem__)
-    rank = [0] * n
-    for idx in range(1, n):
-        rank[sa[idx]] = rank[sa[idx - 1]] + (text[sa[idx]] != text[sa[idx - 1]])
-    k = 1
-    while sa and rank[sa[-1]] < n - 1:
-        # the pair (rank[i], rank[i + k] or -1 past the end) packed into one
-        # int: same order as the tuple, faster to build, sort and compare
-        keys = [a * (n + 1) + b for a, b in zip(rank, rank[k:] + [-1] * k)]
-        sa.sort(key=keys.__getitem__)
-        # in place: keys hold the old ranks, and rank[sa[0]] stays 0
-        for idx in range(1, n):
-            rank[sa[idx]] = rank[sa[idx - 1]] + (keys[sa[idx]] != keys[sa[idx - 1]])
-        k *= 2
-    return sa
+    """Suffix array of ``text`` by SA-IS (Nong, Zhang & Chan 2009): the
+    start positions of its suffixes in increasing order, symbols compared by
+    code point, so the order is Python's ``str`` order.  O(n) time and O(n)
+    memory; the recursion depth is at most log2 n, since each level at least
+    halves the length."""
+    code = {c: k for k, c in enumerate(sorted(set(text)))}
+    return _sais([code[c] for c in text], len(code))
+
+
+def _sais(s: list[int], upper: int) -> list[int]:
+    """Suffix array of ``s``, whose values lie in range(upper).
+
+    The end of ``s`` acts as a virtual sentinel smaller than every symbol.
+    A suffix is S-type when it is smaller than the suffix after it and
+    L-type otherwise; the last one is L-type.  An LMS position is an S-type
+    one after an L-type one.  Induced sorting places the LMS suffixes at
+    their bucket ends and derives every L-type suffix from them in one
+    forward scan and every S-type suffix in one backward scan.  Run on the
+    LMS positions in text order, it sorts the LMS substrings (from one LMS
+    position to the next, inclusive); naming those gives a string of at most
+    n/2 symbols whose suffix array orders the LMS suffixes, and a second run
+    from that order sorts all suffixes."""
+    n = len(s)
+    if not n:
+        return []
+    # is_s[i]: suffix i is S-type; built right to left against the next
+    # symbol (the sentinel -1 after the last), an equal one carrying the type
+    typ = False
+    is_s = [
+        typ := (c < d if c != d else typ)
+        for c, d in zip(reversed(s), chain((-1,), reversed(s)))
+    ]
+    is_s.reverse()
+    # pl[v] / ps[v]: s[v - 1] when suffix v - 1 is L-type / S-type, else -1;
+    # suffix 0 has no predecessor, so 0 also marks an empty slot
+    pl = [-1 if t else c for c, t in zip(chain((-1,), s), chain((True,), is_s))]
+    ps = [c if t else -1 for c, t in zip(chain((-1,), s), chain((True,), is_s))]
+    counts = Counter(s)
+    bounds = [0, *accumulate(map(counts.__getitem__, range(upper)))]
+    starts, ends = bounds[:-1], bounds[1:]
+    lms = list(compress(range(1, n), map(gt, islice(is_s, 1, None), is_s)))
+
+    def induce(order: list[int]) -> list[int]:
+        sa = [0] * n
+        tail = ends[:]
+        for v in reversed(order):
+            c = s[v]
+            tail[c] -= 1
+            sa[tail[c]] = v
+        head = starts[:]
+        c = s[n - 1]
+        sa[head[c]] = n - 1
+        head[c] += 1
+        for v in sa:  # writes land ahead of the iterator, which reads them
+            c = pl[v]
+            if c >= 0:
+                i = head[c]
+                sa[i] = v - 1
+                head[c] = i + 1
+        tail = ends[:]
+        for v in reversed(sa):  # writes land behind the reversed iterator
+            c = ps[v]
+            if c >= 0:
+                i = tail[c] - 1
+                sa[i] = v - 1
+                tail[c] = i
+        return sa
+
+    m = len(lms)
+    index = [-1] * n
+    for k, v in enumerate(lms):
+        index[v] = k
+    stops = lms[1:] + [n]
+    names = [0] * m
+    name = -1
+    prev = None
+    for v in induce(lms):
+        k = index[v]
+        if k >= 0:
+            # the last LMS substring runs into the sentinel: it equals no other
+            e = stops[k]
+            piece = s[v : e + 1] if e < n else None
+            if piece is None or piece != prev:
+                name += 1
+            prev = piece
+            names[k] = name
+    if name + 1 < m:
+        order = _sais(names, name + 1)
+    else:
+        order = [0] * m
+        for k, r in enumerate(names):
+            order[r] = k
+    return induce([lms[k] for k in order])
 
 
 def lcp_array(text: str, sa: list[int]) -> list[int]:
@@ -99,9 +177,10 @@ def shortest_unique_lengths(text: str) -> list[int]:
         return []
     sa = suffix_array(text)
     lcp = lcp_array(text, sa)
+    lcp.append(0)  # the last suffix in sa has no successor
     l = [0] * n
-    for idx, i in enumerate(sa):
-        m = max(lcp[idx], lcp[idx + 1] if idx + 1 < n else 0)
+    for i, a, b in zip(sa, lcp, islice(lcp, 1, None)):
+        m = a if a > b else b
         l[i] = m + 1 if m < n - i else _INF
     return l
 

@@ -3,7 +3,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphlab import (
@@ -22,24 +22,53 @@ from morphlab import (
     verify_tm_mus,
     word,
 )
+from morphlab.classic import NAMED_MORPHISMS
 from morphlab.repeats import NetOccurrence, lcp_array, shortest_unique_lengths, suffix_array
 from morphlab.words import occ_count
 
 binary_texts = st.text(alphabet="ab", min_size=1, max_size=60)
 ternary_texts = st.text(alphabet="abc", min_size=1, max_size=60)
+# 1 to 5 symbols, one alphabet given out of code-point order; long enough for
+# SA-IS to recurse on repeated LMS substrings
+SORT_ALPHABETS = ("a", "ab", "abc", "abcde", "zéa")
+sort_texts = st.sampled_from(SORT_ALPHABETS).flatmap(
+    lambda alphabet: st.text(alphabet=alphabet, max_size=300)
+)
 
 
 class TestSuffixStructures:
-    @given(st.one_of(binary_texts, ternary_texts))
+    @given(sort_texts)
+    @example("")
+    @example("a")
+    @example("ab")
+    @example("ba")
+    @example("aa")
+    @example("aaa")
+    @example("a" * 300)
     def test_suffix_array_is_sorted(self, text):
         sa = suffix_array(text)
         suffixes = [text[i:] for i in sa]
         assert suffixes == sorted(suffixes)
         assert sorted(sa) == list(range(len(text)))
 
+    def test_suffix_array_equals_slice_sort(self):
+        texts = [fibonacci_word(i).text for i in range(1, 19)]
+        texts += [thue_morse_word(i).text for i in range(1, 13)]
+        for named in NAMED_MORPHISMS.values():
+            text = "a"
+            while len(text) <= 3000:
+                texts.append(text)
+                text = named.morphism.apply_text(text)
+        rng = random.Random(7)
+        for alphabet in SORT_ALPHABETS:
+            texts += ["".join(rng.choices(alphabet, k=300)) for _ in range(20)]
+        for text in texts:
+            naive = sorted(range(len(text)), key=lambda i: text[i:])
+            assert suffix_array(text) == naive, text[:40]
+
     def test_suffix_array_memory_is_linear(self):
         # a sort keyed by the suffixes themselves peaks near n^2 / 2 bytes
-        # (130 MiB at n = 16,384); prefix doubling stays near 16 MiB here
+        # (130 MiB at n = 16,384); SA-IS stays near 11 MiB here
         text = "".join(random.Random(5).choices("ab", k=100_000))
         tracemalloc.start()
         try:
@@ -247,6 +276,12 @@ class TestTheoremSweeps:
     def test_tm_mus_closed_form(self):
         report = verify_tm_mus(range(5, 12))
         assert report.passed
+
+    def test_mus_closed_forms_past_criterion_7(self):
+        # criterion 7 stops at F_18 and tm_14; these reach the deeper
+        # recursion levels of the suffix sort
+        assert verify_fibonacci_mus([26]).passed
+        assert verify_tm_mus([19]).passed
 
     def test_net_closed_forms(self):
         assert verify_net_closed_forms(range(7, 13), range(5, 11)).passed
