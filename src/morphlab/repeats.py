@@ -11,13 +11,22 @@ and O(n) memory, with recursion depth at most log2 n since each level at
 least halves the length; symbols are ordered by code point.  Naive
 substring-counting versions serve as oracles at small scale.
 
+``compute_mus`` and ``compute_net_occurrences`` both read the MUS intervals
+of ``_mus_intervals``, which keeps the last text's intervals in a one-entry
+cache keyed by the text.  So asking for the MUSs and then the net
+occurrences of one word sorts its suffixes once.  The entry holds only the
+tuple of intervals (the suffix array, the LCPs and l(i) are dropped), and one
+entry is enough for that pairing while retaining nothing of earlier words.
+
 All reported intervals are 1-based and inclusive.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, chain, compress, islice
 from operator import gt
 
@@ -187,30 +196,42 @@ def shortest_unique_lengths(text: str) -> list[int]:
 
 # -- MUS and net occurrences --------------------------------------------------
 
-def compute_mus(w: Word) -> list[MusOccurrence]:
-    """All MUS occurrences of w, sorted by start position."""
-    text = w.text
-    if not text:
-        raise ValueError("MUSs are defined for nonempty words")
+@lru_cache(maxsize=1)
+def _mus_intervals(text: str) -> tuple[tuple[int, int], ...]:
+    """The 1-based MUS intervals of the nonempty ``text``, sorted by start.
+
+    One suffix sort per call.  The cache keeps the last text's intervals
+    only: ``compute_mus`` followed by ``compute_net_occurrences`` on the same
+    word hits it, and a second entry would serve no call pattern of the
+    library while keeping an earlier word's text and intervals alive."""
     n = len(text)
     l = shortest_unique_lengths(text)
-    out: list[MusOccurrence] = []
+    out = []
     for i in range(n):
         if l[i] == _INF:
             continue
         # right trim (length l[i]-1, start i+1) must be repeated
         if l[i] == 1 or i + 1 >= n or l[i + 1] > l[i] - 1:
-            j = i + l[i] - 1
-            out.append(MusOccurrence(i + 1, j + 1, w[i : j + 1]))
-    return out
+            out.append((i + 1, i + l[i]))
+    return tuple(out)
+
+
+def compute_mus(w: Word) -> list[MusOccurrence]:
+    """All MUS occurrences of w, sorted by start position, with contents over
+    w's alphabet.  The intervals come from ``_mus_intervals``, so a following
+    ``compute_net_occurrences(w)`` does not sort w's suffixes again."""
+    if not w.text:
+        raise ValueError("MUSs are defined for nonempty words")
+    return [MusOccurrence(i, j, w[i - 1 : j]) for i, j in _mus_intervals(w.text)]
 
 
 def compute_net_occurrences(w: Word) -> list[NetOccurrence]:
     """All net occurrences of w, sorted by start position: the gaps between
-    consecutive MUS occurrences (see ``mus_to_net``)."""
+    consecutive MUS occurrences (see ``mus_to_net``), read off the cached
+    intervals of ``_mus_intervals`` without building any ``MusOccurrence``."""
     if not w.text:
         raise ValueError("net occurrences are defined for nonempty words")
-    return mus_to_net(compute_mus(w), len(w))
+    return _interleave(_mus_intervals(w.text), len(w))
 
 
 def mus_to_net(mus_list: list[MusOccurrence], n: int) -> list[NetOccurrence]:
@@ -219,8 +240,13 @@ def mus_to_net(mus_list: list[MusOccurrence], n: int) -> list[NetOccurrence]:
     out empty are dropped."""
     if not mus_list:
         raise ValueError("mus_to_net requires a nonempty MUS list")
-    starts = [1] + [m.start + 1 for m in mus_list]
-    ends = [m.end - 1 for m in mus_list] + [n]
+    return _interleave([m.interval for m in mus_list], n)
+
+
+def _interleave(intervals: Sequence[tuple[int, int]], n: int) -> list[NetOccurrence]:
+    """``mus_to_net`` on (start, end) pairs sorted by start."""
+    starts = [1] + [i + 1 for i, _ in intervals]
+    ends = [j - 1 for _, j in intervals] + [n]
     return [NetOccurrence(i, j) for i, j in zip(starts, ends) if i <= j]
 
 

@@ -67,7 +67,9 @@ class Word:
     """A finite word over an :class:`Alphabet`.
 
     Thin wrapper around ``str``: indexing is 0-based and slicing returns a
-    new :class:`Word` over the same alphabet.
+    new :class:`Word` over the same alphabet.  The constructor checks the
+    text against the alphabet; a slice skips that check, since a slice of a
+    valid word is valid over the same alphabet.
     """
 
     text: str
@@ -87,9 +89,19 @@ class Word:
     def __iter__(self):
         return iter(self.text)
 
+    @classmethod
+    def _trusted(cls, text: str, alphabet: Alphabet) -> "Word":
+        """A word whose symbols are known to lie in ``alphabet``: built
+        without ``__post_init__``'s check."""
+        w = object.__new__(cls)
+        fields = w.__dict__  # frozen: setattr is blocked, the dict is not
+        fields["text"] = text
+        fields["alphabet"] = alphabet
+        return w
+
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.text[item], self.alphabet)
+            return Word._trusted(self.text[item], self.alphabet)
         return self.text[item]
 
     def __add__(self, other: "Word") -> "Word":

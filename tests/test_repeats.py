@@ -7,7 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphlab import (
+    BINARY,
+    Alphabet,
     Morphism,
+    Word,
     compute_mus,
     compute_net_occurrences,
     fibonacci_word,
@@ -22,6 +25,7 @@ from morphlab import (
     verify_tm_mus,
     word,
 )
+from morphlab import repeats
 from morphlab.classic import NAMED_MORPHISMS
 from morphlab.repeats import NetOccurrence, lcp_array, shortest_unique_lengths, suffix_array
 from morphlab.words import occ_count
@@ -166,6 +170,99 @@ class TestNetOccurrences:
     def test_random_against_naive(self, text):
         w = word(text)
         assert compute_net_occurrences(w) == naive_net_occurrences(w)
+
+
+class TestMusIntervalCache:
+    """compute_mus and compute_net_occurrences share a one-entry cache of MUS
+    intervals keyed by the text."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        """Texts passed to repeats.suffix_array, from an empty cache on."""
+        texts = []
+        original = repeats.suffix_array
+
+        def counting(text):
+            texts.append(text)
+            return original(text)
+
+        monkeypatch.setattr(repeats, "suffix_array", counting)
+        repeats._mus_intervals.cache_clear()
+        yield texts
+        repeats._mus_intervals.cache_clear()
+
+    def test_mus_then_net_sorts_once(self, sorts):
+        w = fibonacci_word(9)
+        assert compute_mus(w) == naive_mus(w)
+        assert compute_net_occurrences(w) == naive_net_occurrences(w)
+        assert sorts == [w.text]
+
+    def test_one_entry_only(self, sorts):
+        w1, w2 = fibonacci_word(8), thue_morse_word(5)
+        compute_mus(w1)
+        compute_mus(w2)
+        compute_mus(w1)
+        assert sorts == [w1.text, w2.text, w1.text]
+
+    def test_results_are_fresh_lists(self, sorts):
+        w = word("abaababaab")
+        first = compute_mus(w)
+        second = compute_mus(w)
+        assert first is not second
+        first.clear()
+        assert compute_mus(w) == second == naive_mus(w)
+        net = compute_net_occurrences(w)
+        assert net is not compute_net_occurrences(w)
+        net.append(NetOccurrence(1, 1))
+        assert compute_net_occurrences(w) == naive_net_occurrences(w)
+        assert len(sorts) == 1
+
+    def test_contents_take_the_callers_alphabet(self, sorts):
+        abc = Alphabet(("a", "b", "c"))
+        text = "abbaabab"
+        binary = compute_mus(Word(text, BINARY))
+        ternary = compute_mus(Word(text, abc))
+        assert {m.content.alphabet for m in binary} == {BINARY}
+        assert {m.content.alphabet for m in ternary} == {abc}
+        assert [m.interval for m in binary] == [m.interval for m in ternary]
+        assert ternary == naive_mus(Word(text, abc))
+        assert len(sorts) == 1
+
+
+@st.composite
+def call_sequences(draw):
+    """(word, function) calls over a few texts of length <= 10, each text
+    drawn over {a, b} or {a, b, c} and called with either alphabet it fits."""
+    abc = Alphabet(("a", "b", "c"))
+    pool = draw(
+        st.lists(
+            st.sampled_from(["ab", "abc"]).flatmap(
+                lambda a: st.text(alphabet=a, min_size=1, max_size=10)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        text = draw(st.sampled_from(pool))
+        fits = [BINARY, abc] if set(text) <= {"a", "b"} else [abc]
+        alphabet = draw(st.sampled_from(fits))
+        fn = draw(st.sampled_from(["mus", "net"]))
+        calls.append((Word(text, alphabet), fn))
+    return calls
+
+
+class TestCallSequences:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(call_sequences())
+    def test_any_call_order_matches_the_oracles(self, calls):
+        # a stale or mis-keyed cache entry would answer for the wrong word
+        for w, fn in calls:
+            if fn == "mus":
+                assert compute_mus(w) == naive_mus(w), w
+            else:
+                assert compute_net_occurrences(w) == naive_net_occurrences(w), w
 
 
 class TestMusToNet:

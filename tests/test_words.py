@@ -50,12 +50,35 @@ class TestWord:
     def test_rejects_foreign_symbols(self):
         with pytest.raises(ValueError):
             Word("abc", BINARY)
+        # slices skip the check; the constructor still makes it
+        with pytest.raises(ValueError, match="not in alphabet"):
+            Word(word("abab")[1:3].text + "c", BINARY)
 
     def test_slicing_keeps_alphabet(self):
         w = word("abab")
         assert isinstance(w[1:3], Word)
         assert w[1:3].text == "ba"
         assert w[0] == "a"
+        abc = Alphabet(("a", "b", "c"))
+        assert Word("abcab", abc)[1:3] == Word("bc", abc)
+        assert Word("abab", abc)[0:2].alphabet is abc
+
+    # slices skip the constructor's alphabet check; they must still equal the
+    # checked construction
+    @given(
+        st.sampled_from([BINARY, Alphabet(("a", "b", "c"))]).flatmap(
+            lambda a: st.tuples(st.just(a), st.text(alphabet=a.symbols, max_size=20))
+        ),
+        st.integers(-25, 25) | st.none(),
+        st.integers(-25, 25) | st.none(),
+        st.sampled_from([None, 1, 2, -1]),
+    )
+    def test_slice_equals_checked_construction(self, drawn, start, stop, step):
+        alphabet, text = drawn
+        s = slice(start, stop, step)
+        piece = Word(text, alphabet)[s]
+        assert piece == Word(text[s], alphabet)
+        assert hash(piece) == hash(Word(text[s], alphabet))
 
     def test_concatenation(self):
         assert (word("ab") + word("ba")).text == "abba"
