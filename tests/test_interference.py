@@ -176,6 +176,12 @@ class TestPinnedWitnesses:
         assert w.x == "cc" and w.z == ""
         assert reassembles(phi, w, phi.apply_text("cbcaaa"))
 
+    def test_non_injective_unsorted_source_keeps_source_order(self):
+        # equal images listed b before a: the first source symbol listed wins
+        phi = Morphism.parse("b->bb;a->bb")
+        decision = is_interference_free_on(phi, word("aa"), allow_non_injective=True)
+        assert decision.witness.describe() == "x=b y=b z=b"
+
 
 class TestStrong:
     def test_classification(self):

@@ -86,6 +86,14 @@ class TestScanArtifacts:
                 assert set(result.p_pref) == p_pref, (phi.format(), text)
                 assert set(result.p_suf) == p_suf, (phi.format(), text)
 
+    def test_matches_ending_at_p_precede_matches_starting_at_p(self):
+        phi = Morphism.from_map({"a": "abca", "b": "bc", "c": "c"})
+        for text in ("abcabca", "bcbcabcab", "cabcacbc"):
+            matches = scan(phi, text).matches
+            for k, (start, length, _) in enumerate(matches):
+                end = start + length
+                assert all(s != end for s, _, _ in matches[:k]), (text, k)
+
     def test_matcher_cache_reuses_instances(self):
         phi = Morphism.parse("a->ab;b->a")
         assert matcher_for(phi) is matcher_for(Morphism.parse("a->ab;b->a"))
