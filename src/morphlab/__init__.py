@@ -22,7 +22,7 @@ from .words import (
     word,
 )
 from .morphisms import Morphism, parse_morphism
-from .aho_corasick import DictionaryMatcher, ScanResult, scan
+from .aho_corasick import ScanResult, scan
 from .interference import (
     InterferenceDecision,
     InterferenceWitness,

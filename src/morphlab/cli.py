@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: check-if, check-strong-if, check-recognizable, apply, occ,
-mus, netocc, gen, verify, bench, scan-debug.  Word and morphism arguments
+mus, netocc, gen, verify, scan-debug.  Word and morphism arguments
 are literals unless they start with ``@``, in which case the rest is a file
 path.  ``--format machine`` emits one ``key=value`` record per line (no
 nesting) so tests in any language can parse the output.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from . import classic, repeats
@@ -231,22 +230,6 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench(args) -> int:
-    phi = classic.FIBONACCI
-    prev: float | None = None
-    for i in range(args.min_order, args.max_order + 1):
-        u = classic.fibonacci_word(i)
-        n = len(phi.apply_text(u.text))
-        t0 = time.perf_counter()
-        is_interference_free_on(phi, u)
-        elapsed = time.perf_counter() - t0
-        ratio = elapsed / prev if prev else 0.0
-        prev = elapsed
-        print(machine_line(command="bench", order=i, n=n,
-                           seconds=f"{elapsed:.6f}", ratio=f"{ratio:.3f}"))
-    return 0
-
-
 def _cmd_scan_debug(args) -> int:
     phi = _morphism_arg(args.morphism)
     w = _word_arg(args.word)
@@ -312,10 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=("fibonacci-mus", "tm-mus", "occ-preserve", "no-closed-form"))
     p.add_argument("--max-order", type=int)
-
-    p = add("bench", _cmd_bench, help="time the interference decision on growing inputs")
-    p.add_argument("--min-order", type=int, default=20)
-    p.add_argument("--max-order", type=int, default=25)
 
     p = add("scan-debug", _cmd_scan_debug, help="dump the scan artifacts S/P_pref/P_suf")
     p.add_argument("--morphism", required=True)

@@ -7,14 +7,14 @@ An injective morphism phi interferes on u when phi(u) either
   with x . z nonempty -- or
 * sits strictly inside a single image (touching neither end).
 
-One forward scan of w = phi(u) (see :func:`aho_corasick.scan`) yields the
-image match stream and the boundary sets P_pref and P_suf.  A forward
-dynamic program over that match stream then answers both factorization
-cases.  The DP table C is indexed 0..n with C[j] = 1 iff the prefix
-w[1..j] splits as x . y; seeds place the possible ends of x and matches of
-images propagate forward.  Instead of bits we propagate the minimal seed
-value that reaches each position, and backtrack stored predecessors to a
-witness.
+One scan of w = phi(u) (see :func:`aho_corasick.scan`) yields the image
+match stream, in order of increasing start, and the boundary sets P_pref
+and P_suf.  A forward dynamic program over that match stream then answers
+both factorization cases.  The DP table C is indexed 0..n with C[j] = 1 iff
+the prefix w[1..j] splits as x . y; seeds place the possible ends of x and
+matches of images propagate forward.  Instead of bits we propagate the
+minimal seed value that reaches each position, and backtrack stored
+predecessors to a witness.
 
 * Pass 1 finds witnesses with z nonempty: it seeds C[0] (x empty) and every
   i in P_pref with value |x|, and accepts at j in P_suf when C[j-1] holds.
@@ -128,7 +128,10 @@ def _require_injective(phi: Morphism, allow_non_injective: bool) -> bool:
 
 
 def _forward_dp(n, matches, seeds, accepts):
-    """Forward DP over the end-sorted match stream.
+    """Forward DP over the start-sorted match stream.
+
+    Every match ending at p comes before any match starting at p, so C[p]
+    is final when the matches from p are read.
 
     ``seeds`` maps a table index to the seed value it encodes; ``accepts`` are
     candidate 1-based positions j (acceptance needs table index j-1 set).

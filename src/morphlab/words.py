@@ -168,7 +168,10 @@ def _check_same_alphabet(u: Word, w: Word) -> None:
 
 def find_all(pattern: str, text: str) -> list[int]:
     """All 0-based starting positions of ``pattern`` in ``text``, overlapping
-    occurrences included.  Uses the C-level two-way matcher behind str.find."""
+    occurrences included, from one C-level ``str.find`` per occurrence.
+    CPython switches ``str.find`` to the two-way algorithm only for long
+    needles; for short patterns such as a morphism's images the loop's worst
+    case is O(len(text) * len(pattern))."""
     if not pattern:
         return list(range(len(text) + 1))
     out = []

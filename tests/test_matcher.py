@@ -1,11 +1,7 @@
 from itertools import product
 
-import pytest
-
-from morphlab import DictionaryMatcher, Morphism
-from morphlab.aho_corasick import matcher_for, scan
-from morphlab.errors import ErasingImageError
-from morphlab.words import find_all
+from morphlab import Morphism
+from morphlab.aho_corasick import scan
 
 
 def naive_artifacts(phi, text):
@@ -13,8 +9,9 @@ def naive_artifacts(phi, text):
     n = len(text)
     s = {}
     for c, img in phi.images:
-        for i in find_all(img, text):
-            s.setdefault(i + 1, set()).add(c)
+        for i in range(n):
+            if text[i : i + len(img)] == img:
+                s.setdefault(i + 1, set()).add(c)
     p_pref = {
         i for i in range(1, n + 1) if text[:i] in phi.proper_image_suffixes
     }
@@ -22,36 +19,6 @@ def naive_artifacts(phi, text):
         i for i in range(1, n + 1) if text[i - 1 :] in phi.proper_image_prefixes
     }
     return {k: tuple(sorted(v)) for k, v in s.items()}, p_pref, p_suf
-
-
-class TestBuild:
-    def test_rejects_empty_pattern(self):
-        with pytest.raises(ErasingImageError):
-            DictionaryMatcher([("", "a")])
-
-    def test_rejects_empty_dictionary(self):
-        with pytest.raises(ValueError):
-            DictionaryMatcher([])
-
-    def test_simple_matches(self):
-        m = DictionaryMatcher([("ab", "a"), ("a", "b")])
-        starts = [(start + 1, pid) for start, _len, pid in m.matches("aba")[0]]
-        assert sorted(starts) == [(1, "a"), (1, "b"), (3, "b")]
-
-    def test_no_matches(self):
-        m = DictionaryMatcher([("ab", "a")])
-        assert m.matches("bbb")[0] == []
-
-    def test_overlapping_patterns(self):
-        m = DictionaryMatcher([("ab", "a"), ("ba", "b")])
-        starts = [(start + 1, pid) for start, _len, pid in m.matches("aba")[0]]
-        assert sorted(starts) == [(1, "a"), (2, "b")]
-
-    def test_matches_sorted_by_end(self):
-        phi = Morphism.parse("a->aba;b->ba")
-        ends = [start + length for start, length, _ in
-                matcher_for(phi).matches("ababa")[0]]
-        assert ends == sorted(ends)
 
 
 class TestScanArtifacts:
@@ -86,14 +53,14 @@ class TestScanArtifacts:
                 assert set(result.p_pref) == p_pref, (phi.format(), text)
                 assert set(result.p_suf) == p_suf, (phi.format(), text)
 
-    def test_matches_ending_at_p_precede_matches_starting_at_p(self):
+    def test_matches_in_start_order(self):
         phi = Morphism.from_map({"a": "abca", "b": "bc", "c": "c"})
         for text in ("abcabca", "bcbcabcab", "cabcacbc"):
             matches = scan(phi, text).matches
+            starts = [start for start, _, _ in matches]
+            assert starts == sorted(starts), text
+            # all the forward DP relies on: a match ending at p precedes
+            # every match starting at p
             for k, (start, length, _) in enumerate(matches):
                 end = start + length
                 assert all(s != end for s, _, _ in matches[:k]), (text, k)
-
-    def test_matcher_cache_reuses_instances(self):
-        phi = Morphism.parse("a->ab;b->a")
-        assert matcher_for(phi) is matcher_for(Morphism.parse("a->ab;b->a"))
