@@ -1,7 +1,6 @@
 """The scan artifacts of a text under a morphism's image set.
 
-One call of :func:`scan` on a text ``w`` of length n yields what the
-interference decision reads:
+One call of :func:`scan` on a text ``w`` of length n yields
 
 * the match stream -- every image occurrence, from one ``str.find`` loop
                  per image (:func:`words.find_all`), in order of increasing
@@ -16,7 +15,14 @@ The two boundary sets mirror each other, and one routine serves both:
 ``max|img| - 1`` symbols of w, found from the Z-function of that head and
 one Z-based matching pass per image (Gusfield 1997) in O(sum of |img|);
 ``P_suf`` is the same routine run on the reversed last ``max|img| - 1``
-symbols against the reversed images.
+symbols against the reversed images.  :func:`p_pref_lengths` and
+:func:`p_suf_lengths` expose that routine on its own, since it needs only
+the two ends of w.
+
+The interference decision reads only those two: it never
+builds w or its match stream (see :mod:`interference`).  :func:`scan` serves
+``interference.factorizable`` (which reports the reachability table over w),
+the ``scan-debug`` command and the tests.
 
 The module keeps its historical name, which the benchmark in ``perfbench/``
 reads as ``morphlab.aho_corasick``, though no automaton is built any more.
@@ -103,23 +109,38 @@ def _prefix_borders(head: str, images: Sequence[str]) -> set[int]:
     return out
 
 
+def require_non_erasing(phi: Morphism) -> None:
+    """Image factorizations need nonempty images: raise ErasingImageError
+    naming the erased symbols otherwise."""
+    if not phi.is_non_erasing:
+        erased = ", ".join(c for c, img in phi.images if not img)
+        raise ErasingImageError(f"image factorizations need nonempty images; erased: {erased}")
+
+
+def p_pref_lengths(phi: Morphism, head: str) -> set[int]:
+    """P_pref of a text w that begins with ``head``, given at least the first
+    max|img| - 1 symbols of w (or all of w)."""
+    return _prefix_borders(head[: phi.max_image_length - 1], phi.image_texts)
+
+
+def p_suf_lengths(phi: Morphism, tail: str) -> set[int]:
+    """The lengths of the suffixes of a text w that are proper image
+    prefixes, given at least the last max|img| - 1 symbols of w (or all of
+    w) as ``tail``: P_pref of the reversed tail under the reversed images.
+    A suffix of length L starts at the position |w| + 1 - L of P_suf."""
+    return _prefix_borders(tail[: -phi.max_image_length : -1], phi.reversed_image_texts)
+
+
 def scan(phi: Morphism, w: Word | str) -> ScanResult:
     """Match stream, P_pref(w) and P_suf(w) for ``w`` under ``phi``.
 
     Each image is found by its own C-level ``str.find`` loop; a stable sort
     on the start merges the per-image lists, so ties keep the source order.
-    P_suf(w) is P_pref of the reversed tail under the reversed images, with
-    a suffix of length L starting at position n + 1 - L.
     """
-    if not phi.is_non_erasing:
-        erased = ", ".join(c for c, img in phi.images if not img)
-        raise ErasingImageError(f"image factorizations need nonempty images; erased: {erased}")
+    require_non_erasing(phi)
     text = str(w)
     matches = [(i, len(img), c) for c, img in phi.images for i in find_all(img, text)]
     matches.sort(key=itemgetter(0))
-    images = phi.image_texts
-    cut = max(map(len, images)) - 1
-    p_pref = frozenset(_prefix_borders(text[:cut], images))
-    suffix_lengths = _prefix_borders(text[: -cut - 1 : -1], [img[::-1] for img in images])
     end = len(text) + 1
-    return ScanResult(matches, p_pref, frozenset(end - size for size in suffix_lengths))
+    p_suf = frozenset(end - size for size in p_suf_lengths(phi, text))
+    return ScanResult(matches, frozenset(p_pref_lengths(phi, text)), p_suf)

@@ -1,34 +1,83 @@
 """Deciding interference-freeness of a morphism on a word.
 
-An injective morphism phi interferes on u when phi(u) either
+An injective morphism phi interferes on u when w = phi(u) either
 
 * admits an interfered image factorization x . y . z -- x a proper suffix of
   some image, y a concatenation of images, z a proper prefix of some image,
   with x . z nonempty -- or
 * sits strictly inside a single image (touching neither end).
 
-One scan of w = phi(u) (see :func:`aho_corasick.scan`) yields the image
-match stream, in order of increasing start, and the boundary sets P_pref
-and P_suf.  A forward dynamic program over that match stream then answers
-both factorization cases.  The DP table C is indexed 0..n with C[j] = 1 iff
-the prefix w[1..j] splits as x . y; seeds place the possible ends of x and
-matches of images propagate forward.  Instead of bits we propagate the
-minimal seed value that reaches each position, and backtrack stored
-predecessors to a witness.
+The factorization cases are a dynamic program over the positions 0..n of w,
+n = |w|: C[j] = 1 iff the prefix w[1..j] splits as x . y.  Seeds place the
+possible ends of x, at 0 (x empty) and at each i in P_pref (w[1..i] a
+proper image suffix), and image occurrences carry them forward.  Each
+position keeps which seeds reach it, and two values are read off that set:
 
-* Pass 1 finds witnesses with z nonempty: it seeds C[0] (x empty) and every
-  i in P_pref with value |x|, and accepts at j in P_suf when C[j-1] holds.
-  Its witness has the smallest |x|, then the leftmost acceptance.
+* Pass 1 finds witnesses with z nonempty.  A position's value is the
+  smallest seed reaching it (|x|), and an acceptance is a j in P_suf (w[j..n]
+  a proper image prefix) with position j - 1 reached.  The witness has the
+  smallest |x|, then the leftmost acceptance.
 * Only when pass 1 fails does the z-empty case remain: x nonempty and
-  C[n] = 1.  The same DP over the same match stream answers it, seeded only
-  from P_pref with value -|x|, so the longest x is reported.
+  position n reached from P_pref.  The value is the largest such seed, so
+  the longest x is reported.
+
+**The window automaton.**  The decision never builds w.  It reads u one
+source symbol at a time, and its state after u[:k], at the canonical cut
+c = |phi(u[:k])|, is
+
+* the seed sets (as bit masks) of the max|img| positions c - max|img| + 1
+  .. c: every image occurrence that ends after c starts among them;
+* the last max|img| - 1 symbols of phi(u[:k]), which the occurrences that
+  straddle c need.
+
+The next state follows from the state and phi(a) alone, by the DP rule
+above: a new position ORs the seed sets where the images ending at it start
+(:attr:`Morphism.image_ends` lists them per symbol).  Transitions are
+memoized per call, on each state's row keyed by the symbol, and the states
+are interned by (tail, masks); there is no cache across calls.  The first
+steps, while a P_pref seed still lies ahead of the cut, add that seed and
+are not memoized.  P_pref and P_suf come from
+:func:`aho_corasick.p_pref_lengths` and :func:`aho_corasick.p_suf_lengths`
+on phi of the first and the last max|img| symbols of u, so phi is applied
+to at most 2 max|img| symbols of u; P_suf is computed only when a position
+it could accept is reached.  Only |phi(u)| <= max|img| - 2 permits the inner kind, and then phi(u)
+is that head.
+
+A call reaches at most |u| + 1 states, each of O(max|img|) size, so the
+state memory is O(|u| max|img|) in the worst case; the classic inputs of
+the benchmark reach three or four.  On a memo hit a step is one C-level dict lookup, so the
+decision runs |u| such lookups plus O(k max|img|) Python work per distinct
+(state, symbol) pair, for a morphism with k images.
+
+**The witness.**  The decision records the state after every prefix of u.
+The masks of any position follow from the state of the step that covers
+it, and the backtrack applies the rule of the text-level DP
+(:func:`_forward_dp`, :func:`_backtrack`): from the accepting position it
+takes the first predecessor in start order (the longest image first, then
+source order) that the witness's seed reaches, until it stands on that
+seed.  For an injective phi a stretch of the path along canonical cuts
+that the seed reaches is copied as ``u[h:k]`` in one slice.  That is sound:
+let the seed s reach the cuts c_h, ..., c_k of u[:h], ..., u[:k].  At each
+c_i with h < i <= k, the occurrence of phi(u[i-1]) from c_(i-1) is a
+predecessor that s reaches.  Any predecessor that s reaches ends an image
+parse of w[s..c_i] (the chain from s to it, then its image), and two
+distinct image parses of one factor would make phi non-injective, so the
+rule picks that occurrence at every one of these cuts.  With
+``allow_non_injective=True`` on a non-injective phi the backtrack goes step
+by step.
+
+:func:`factorizable` keeps the text-level DP over the match stream of
+:func:`aho_corasick.scan`, since it reports the table C itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import getitem
 
-from .aho_corasick import ScanResult, scan
+from .aho_corasick import p_pref_lengths, p_suf_lengths, require_non_erasing, scan
 from .errors import NonInjectiveMorphismError
 from .morphisms import Morphism
 from .words import Word
@@ -165,13 +214,6 @@ def _backtrack(text, j, parent):
     return text[:pos], tuple(syms), text[j - 1:]
 
 
-def _pass1(text: str, artifacts: ScanResult):
-    """Witnesses with z nonempty: x empty or in P_pref, acceptance in P_suf."""
-    seeds = {i: i for i in artifacts.p_pref}
-    seeds[0] = 0
-    return _forward_dp(len(text), artifacts.matches, seeds, artifacts.p_suf)
-
-
 def affix_donor(phi: Morphism, part: str, *, suffix: bool) -> str | None:
     """The smallest source symbol whose image has ``part`` as a proper
     suffix (or prefix); None for an empty part."""
@@ -187,33 +229,15 @@ def factorizable(phi: Morphism, w: Word | str) -> FactorizableResult:
     text = str(w)
     if not text:
         raise ValueError("factorizable is defined for nonempty words")
-    j, minseed, parent = _pass1(text, scan(phi, text))
+    artifacts = scan(phi, text)
+    seeds = {i: i for i in artifacts.p_pref}
+    seeds[0] = 0
+    j, minseed, parent = _forward_dp(len(text), artifacts.matches, seeds, artifacts.p_suf)
     table = FactorizableTable(tuple(1 if v < _INF else 0 for v in minseed))
     if j is None:
         return FactorizableResult(False, table=table)
     x, y_symbols, z = _backtrack(text, j, parent)
     return FactorizableResult(True, x=x, y_symbols=y_symbols, z=z, table=table)
-
-
-def _factorization_witness(phi: Morphism, text: str) -> InterferenceWitness | None:
-    n = len(text)
-    artifacts = scan(phi, text)
-    j, _, parent = _pass1(text, artifacts)
-    if j is None and artifacts.p_pref:
-        # z empty: x nonempty and phi(u) = x . y; -|x| prefers the longest x
-        seeds = {i: -i for i in artifacts.p_pref}
-        j, _, parent = _forward_dp(n, artifacts.matches, seeds, (n + 1,))
-    if j is None:
-        return None
-    x, y_symbols, z = _backtrack(text, j, parent)
-    return InterferenceWitness(
-        INTERFERED_FACTORIZATION,
-        x=x,
-        y_symbols=y_symbols,
-        z=z,
-        donor_x=affix_donor(phi, x, suffix=True),
-        donor_z=affix_donor(phi, z, suffix=False),
-    )
 
 
 def is_inner_image_factor(phi: Morphism, w: Word | str) -> InnerFactorResult:
@@ -229,6 +253,127 @@ def is_inner_image_factor(phi: Morphism, w: Word | str) -> InnerFactorResult:
     return InnerFactorResult(False)
 
 
+class _State(dict):
+    """A state of the window automaton, and its row of transitions.
+
+    After the prefix u[:k], with cut c = |phi(u[:k])|, ``tail`` holds the
+    last max|img| - 1 symbols of phi(u[:k]) and ``window`` the seed masks of
+    the max|img| positions c - max|img| + 1 .. c (0 before position 0).  As
+    a dict the state maps a source symbol to the next state: a missing
+    entry is computed by ``advance`` and stored, so ``accumulate(u, getitem)``
+    runs without a Python-level step on every memo hit.  ``frames`` keeps,
+    per symbol, the masks the transition computed, for the backtrack.
+    """
+
+    __slots__ = ("tail", "window", "frames", "advance")
+
+    def __init__(self, tail, window, advance):
+        self.tail = tail
+        self.window = window
+        self.frames = {}
+        self.advance = advance
+
+    def __missing__(self, a):
+        nxt = self[a] = self.advance(self, a)
+        return nxt
+
+
+def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> list[_State]:
+    """The state after each prefix u[:k] of u = ``text``, for k = 0..|u|."""
+    image_of = phi.image_map
+    ends = phi.image_ends
+    base = phi.max_image_length - 1  # frame index of the cut
+    keep = slice(-base, None) if base else slice(0, 0)  # the last base symbols
+    last_seed = max(p_pref, default=0)
+    states: dict[tuple, _State] = {}
+
+    def advance(state, a, cut=None):
+        """The state after reading ``a`` in ``state``; stores the frame.
+
+        The frame holds the masks of the positions cut - max|img| + 1 ..
+        cut + |phi(a)|.  A new position ORs the masks where the images
+        ending at it start (each final, as it lies further left) and, when
+        the ``cut`` of a first step is given, its own P_pref seed.
+        """
+        image = image_of[a]
+        tail = state.tail
+        masks = [*state.window, *(0,) * len(image)]
+        if cut is not None:
+            for position in p_pref:
+                if cut < position <= cut + len(image):
+                    masks[base + position - cut] = 1 << position
+        for end, start, before, _ in ends[a]:
+            reach = masks[start]
+            if reach and (not before or tail.endswith(before)):
+                masks[end] |= reach
+        state.frames[a] = masks
+        key = (tail + image)[keep], tuple(masks[len(image):])
+        if cut is not None and cut + len(image) < last_seed:
+            return _State(*key, advance)  # its step reads a seed too
+        nxt = states.get(key)
+        if nxt is None:
+            nxt = states[key] = _State(*key, advance)
+        return nxt
+
+    state = _State("", (0,) * base + (1,), advance)  # seed 0 at position 0
+    if not p_pref:
+        states[state.tail, state.window] = state
+    path: list[_State] = []
+    cut = k = 0
+    while cut < last_seed:  # a seed lies ahead: no memo
+        path.append(state)
+        state = advance(state, text[k], cut)
+        cut += len(image_of[text[k]])
+        k += 1
+    path += accumulate(text[k:], getitem, initial=state)
+    return path
+
+
+def _trace_back(
+    phi: Morphism, text: str, path: list[_State], before_end: int, seed: int
+) -> tuple[str, ...]:
+    """The y symbols of the chain from ``seed`` to position |phi(u)| - before_end.
+
+    Each step takes the first predecessor in start order (the longest image
+    first, then source order) that the seed reaches.  That is the rule of
+    :func:`_backtrack`, which takes the first predecessor with the same
+    value: the smallest (largest) seed at a match's end is at most (at
+    least) the one at its start, so a predecessor that the seed reaches has
+    the seed's value.
+    """
+    image_of = phi.image_map
+    ends = phi.image_ends
+    base = phi.max_image_length - 1
+    injective = phi.is_injective
+    chunks: list[str] = []
+    # cut = |phi(u[:k])| >= q, from k = |u|
+    k, cut = len(text), sum(text.count(c) * len(img) for c, img in phi.images)
+    q = cut - before_end
+    while q != seed:
+        a = text[k - 1]
+        prev = cut - len(image_of[a])
+        if prev >= q:
+            k, cut = k - 1, prev
+            continue
+        state = path[k - 1]
+        if injective and q == cut:
+            # a seed that reaches one cut reaches every later one
+            h = bisect_left(path, 1, 0, k, key=lambda s: s.window[-1] >> seed & 1)
+            if h < k:
+                chunks.append(text[h:k])
+                cut = sum(text.count(c, 0, h) * len(img) for c, img in phi.images)
+                k, q = h, cut
+                continue
+        masks = state.frames[a]
+        i = q - prev + base  # frame index of q
+        for end, start, before, c in ends[a]:
+            if end == i and masks[start] >> seed & 1 and state.tail.endswith(before):
+                break
+        chunks.append(c)
+        q -= end - start
+    return tuple("".join(reversed(chunks)))
+
+
 def is_interference_free_on(
     phi: Morphism, u: Word, *, allow_non_injective: bool = False
 ) -> InterferenceDecision:
@@ -236,18 +381,54 @@ def is_interference_free_on(
     overridden = _require_injective(phi, allow_non_injective)
     if len(u) == 0:
         raise ValueError("interference-freeness is defined for nonempty words")
-    text = phi.apply_text(u.text)
-    witness = _factorization_witness(phi, text)
-    if witness is not None:
-        return InterferenceDecision(False, witness, overridden)
+    text = u.text
+    if not u.alphabet._symbol_set <= phi.image_map.keys():
+        phi.apply_text(text)  # raises for the first symbol without an image
+    require_non_erasing(phi)
+    size = phi.max_image_length
+    head = phi.apply_text(text[:size])
+    p_pref = p_pref_lengths(phi, head)
+    path = _run_automaton(phi, text, p_pref)
+    window = path[-1].window
 
-    inner = is_inner_image_factor(phi, text)
-    if inner:
-        witness = InterferenceWitness(
-            INNER_IMAGE_FACTOR, host=inner.host, offset=inner.offset
-        )
-        return InterferenceDecision(False, witness, overridden)
-    return InterferenceDecision(True, None, overridden)
+    # pass 1, z nonempty: the smallest seed, then the leftmost acceptance;
+    # a suffix of length L ends x . y at window index size - 1 - L
+    best = None
+    if any(window[:-1]):
+        tail = head if len(text) <= size else phi.apply_text(text[-size:])
+        for length in sorted(p_suf_lengths(phi, tail), reverse=True):
+            mask = window[size - 1 - length]
+            seed = (mask & -mask).bit_length() - 1
+            if mask and (best is None or seed < best[0]):
+                best = (seed, length)
+    if best is not None:
+        seed, length = best
+        x, z = head[:seed], tail[len(tail) - length:]
+        y_symbols = _trace_back(phi, text, path, length, seed)
+    elif window[-1] > 1:
+        # z empty: x nonempty and phi(u) = x . y; the longest x is reported
+        seed = window[-1].bit_length() - 1
+        x, z = head[:seed], ""
+        y_symbols = _trace_back(phi, text, path, 0, seed)
+    else:
+        # the inner kind needs |phi(u)| <= max|img| - 2: then phi(u) == head,
+        # while a longer u has |head| >= max|img|
+        inner = is_inner_image_factor(phi, head) if len(head) <= size - 2 else None
+        if inner:
+            witness = InterferenceWitness(
+                INNER_IMAGE_FACTOR, host=inner.host, offset=inner.offset
+            )
+            return InterferenceDecision(False, witness, overridden)
+        return InterferenceDecision(True, None, overridden)
+    witness = InterferenceWitness(
+        INTERFERED_FACTORIZATION,
+        x=x,
+        y_symbols=y_symbols,
+        z=z,
+        donor_x=affix_donor(phi, x, suffix=True),
+        donor_z=affix_donor(phi, z, suffix=False),
+    )
+    return InterferenceDecision(False, witness, overridden)
 
 
 def is_interference_free_on_language(

@@ -101,6 +101,16 @@ class Morphism:
         return tuple(dict.fromkeys(img for _, img in self.images))
 
     @cached_property
+    def max_image_length(self) -> int:
+        """max|img| over the images."""
+        return max(map(len, self.image_texts))
+
+    @cached_property
+    def reversed_image_texts(self) -> tuple[str, ...]:
+        """The reversals of :attr:`image_texts`, in the same order."""
+        return tuple(img[::-1] for img in self.image_texts)
+
+    @cached_property
     def proper_image_prefixes(self) -> frozenset[str]:
         """Nonempty proper prefixes of images."""
         return frozenset(img[:k] for img in self.image_texts for k in range(1, len(img)))
@@ -109,6 +119,30 @@ class Morphism:
     def proper_image_suffixes(self) -> frozenset[str]:
         """Nonempty proper suffixes of images."""
         return frozenset(img[k:] for img in self.image_texts for k in range(1, len(img)))
+
+    @cached_property
+    def image_ends(self) -> dict[str, tuple[tuple[int, int, str, str], ...]]:
+        """For each source symbol a, the image occurrences that end inside
+        phi(a) in a local text: a context of max|img| - 1 symbols followed
+        by phi(a).
+
+        A tuple (end, start, before, c) says that the image of c occupies
+        local positions start..end (0-based, end exclusive) when the context
+        ends with ``before`` (empty when the image lies inside phi(a)).  The
+        tuples are sorted by end, then by start, then in source order.
+        """
+        base = self.max_image_length - 1
+        by_length = sorted(self.images, key=lambda item: -len(item[1]))
+        ends = {}
+        for a, image in self.images:
+            found = []
+            for e in range(1, len(image) + 1):
+                for c, img in by_length:
+                    split = max(len(img) - e, 0)
+                    if image[e - len(img) + split:e] == img[split:]:
+                        found.append((base + e, base + e - len(img), img[:split], c))
+            ends[a] = tuple(found)
+        return ends
 
     # -- application ----------------------------------------------------------
 

@@ -354,9 +354,9 @@ def verify_occurrence_preservation(
 
     bijection: bool | None = None
     if preconditions:
-        # prefix image lengths of v under phi^k, without re-applying per position
-        lengths = [len(phi.iterate(Word(c, v.alphabet), k)) for c in v.text]
-        prefix = [0, *accumulate(lengths)]
+        # prefix image lengths of v under phi^k: |phi^k(c)| once per distinct symbol
+        size = {c: len(phi.iterate(Word(c, v.alphabet), k)) for c in dict.fromkeys(v.text)}
+        prefix = [0, *accumulate(map(size.__getitem__, v.text))]
         mapped = tuple(prefix[p - 1] + 1 for p in before)
         bijection = mapped == tuple(after.positions)
     return PreservationReport(preconditions, failing, len(before), len(after), bijection)

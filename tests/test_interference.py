@@ -3,17 +3,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morphlab import (
+    FIBONACCI,
+    NAMED_MORPHISMS,
     Morphism,
+    Word,
     barrier_certificate,
     brute_force_is_interference_free,
     factorizable,
+    fibonacci_word,
     is_inner_image_factor,
     is_interference_free_on,
     is_interference_free_on_language,
     is_strongly_interference_free,
+    thue_morse_word,
     word,
 )
+from morphlab.aho_corasick import scan
 from morphlab.errors import ErasingImageError, NonInjectiveMorphismError
+from morphlab.interference import (
+    INNER_IMAGE_FACTOR,
+    INTERFERED_FACTORIZATION,
+    InterferenceDecision,
+    InterferenceWitness,
+    _backtrack,
+    _forward_dp,
+    affix_donor,
+)
 
 FIB = Morphism.parse("a->ab;b->a")
 TM = Morphism.parse("a->ab;b->ba")
@@ -145,6 +160,93 @@ class TestDifferential:
             assert w.x == "" or w.x in phi.proper_image_suffixes
             assert w.z == "" or w.z in phi.proper_image_prefixes
             assert reassembles(phi, w, phi.apply_text(u.text))
+
+
+def reference_decision(phi, u, *, allow_non_injective=False):
+    """The decision as a DP over every image match in phi(u), kept as the
+    reference the window automaton must reproduce field for field."""
+    overridden = not phi.is_injective
+    assert allow_non_injective or not overridden
+    text = phi.apply_text(u.text)
+    n = len(text)
+    artifacts = scan(phi, text)
+    seeds = {i: i for i in artifacts.p_pref}
+    seeds[0] = 0
+    j, _, parent = _forward_dp(n, artifacts.matches, seeds, artifacts.p_suf)
+    if j is None and artifacts.p_pref:
+        seeds = {i: -i for i in artifacts.p_pref}
+        j, _, parent = _forward_dp(n, artifacts.matches, seeds, (n + 1,))
+    if j is not None:
+        x, y_symbols, z = _backtrack(text, j, parent)
+        witness = InterferenceWitness(
+            INTERFERED_FACTORIZATION,
+            x=x,
+            y_symbols=y_symbols,
+            z=z,
+            donor_x=affix_donor(phi, x, suffix=True),
+            donor_z=affix_donor(phi, z, suffix=False),
+        )
+        return InterferenceDecision(False, witness, overridden)
+    inner = is_inner_image_factor(phi, text)
+    if inner:
+        witness = InterferenceWitness(INNER_IMAGE_FACTOR, host=inner.host, offset=inner.offset)
+        return InterferenceDecision(False, witness, overridden)
+    return InterferenceDecision(True, None, overridden)
+
+
+@st.composite
+def any_morphism_and_word(draw):
+    """2-4 source symbols, images of length 1..5 over {a, b, c}, injective
+    or not, and a nonempty source word of length <= 8."""
+    source = "abcd"[: draw(st.integers(2, 4))]
+    image = st.text(alphabet="abc", min_size=1, max_size=5)
+    phi = Morphism.from_map({c: draw(image) for c in source})
+    u = draw(st.text(alphabet=source, min_size=1, max_size=8))
+    return phi, word(u)
+
+
+class TestWitnessDifferential:
+    """Every decision field, the witness included, equals the reference."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(any_morphism_and_word())
+    def test_small_instances(self, case):
+        phi, u = case
+        overridden = not phi.is_injective
+        got = is_interference_free_on(phi, u, allow_non_injective=overridden)
+        assert got == reference_decision(phi, u, allow_non_injective=overridden)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_MORPHISMS))
+    def test_classic_words(self, name):
+        phi = NAMED_MORPHISMS[name].morphism
+        for i in range(1, 13):
+            for u in (fibonacci_word(i), thue_morse_word(i)):
+                assert is_interference_free_on(phi, u) == reference_decision(phi, u), (name, i)
+
+    def test_witness_off_the_canonical_cuts(self):
+        # phi(b c^k) = a b^(2k+1); the witness parse a . (bb)^k ends at odd
+        # positions, while |phi(u[:i])| is even for every i >= 1
+        phi = Morphism.parse("a->a;b->ab;c->bb")
+        u = Word("b" + "c" * 2000, phi.source)
+        decision = is_interference_free_on(phi, u)
+        assert decision == reference_decision(phi, u)
+        assert decision.witness.y_symbols == ("a",) + ("c",) * 2000
+        assert decision.witness.z == "b"
+
+
+def test_decision_applies_phi_only_to_the_ends_of_u(monkeypatch):
+    applied = []
+    apply_text = Morphism.apply_text
+
+    def counting(self, text):
+        applied.append(len(text))
+        return apply_text(self, text)
+
+    monkeypatch.setattr(Morphism, "apply_text", counting)
+    for i in (20, 21):  # IF, then NOT-IF with a witness as long as u
+        applied.clear()
+        is_interference_free_on(FIBONACCI, fibonacci_word(i))
+        assert sum(applied) <= 2 * FIBONACCI.max_image_length, (i, applied)
 
 
 class TestPinnedWitnesses:
