@@ -156,8 +156,37 @@ class TestBenchAndScanDebug:
         code, out, _ = run(capsys, "scan-debug", "--morphism", "a->ab;b->a",
                            "--word", "abaababa")
         assert code == 0
-        assert "P_suf = [8]" in out
-        assert "S[1] = a,b" in out
+        assert out.splitlines() == [
+            "S[1] = a,b",
+            "S[3] = b",
+            "S[4] = a,b",
+            "S[6] = a,b",
+            "S[8] = b",
+            "P_pref = []",
+            "P_suf = [8]",
+            "occ = 8",
+        ]
+
+    def test_scan_debug_equal_images(self, capsys):
+        # b is listed before a; each S line lists its symbols sorted
+        code, out, _ = run(capsys, "scan-debug", "--morphism", "b->bb;a->bb",
+                           "--word", "bbbb")
+        assert code == 0
+        assert out.splitlines() == [
+            "S[1] = a,b",
+            "S[2] = a,b",
+            "S[3] = a,b",
+            "P_pref = [1]",
+            "P_suf = [4]",
+            "occ = 6",
+        ]
+
+    def test_scan_debug_rejects_erasing(self, capsys):
+        code, out, err = run(capsys, "scan-debug", "--morphism", "a->ab;b->.",
+                             "--word", "ab")
+        assert code == 2
+        assert out == ""
+        assert "erased: b" in err
 
 
 def test_machine_line_roundtrip():

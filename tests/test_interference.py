@@ -9,6 +9,8 @@ from morphlab import (
     Word,
     barrier_certificate,
     brute_force_is_interference_free,
+    count_image_factorizations,
+    enumerate_interfered_factorizations,
     factorizable,
     fibonacci_word,
     is_inner_image_factor,
@@ -39,6 +41,21 @@ def reassembles(phi, witness, text):
     return witness.x + y + witness.z == text
 
 
+@st.composite
+def morphism_and_text(draw):
+    """2-4 source symbols, images of length 1..5 over {a, b, c}, injective
+    or not, and a text of length 1..8: any word over {a, b, c}, or a window
+    of phi(u) for a source word u of length <= 8."""
+    source = "abcd"[: draw(st.integers(2, 4))]
+    image = st.text(alphabet="abc", min_size=1, max_size=5)
+    phi = Morphism.from_map({c: draw(image) for c in source})
+    if draw(st.booleans()):
+        return phi, draw(st.text(alphabet="abc", min_size=1, max_size=8))
+    w = phi.apply_text(draw(st.text(alphabet=source, min_size=1, max_size=8)))
+    start = draw(st.integers(0, len(w) - 1))
+    return phi, w[start : start + draw(st.integers(1, 8))]
+
+
 class TestFactorizable:
     def test_fibonacci_aba(self):
         result = factorizable(FIB, "aba")
@@ -57,6 +74,46 @@ class TestFactorizable:
         result = factorizable(TM, "abba")
         assert not result
         assert result.table is not None
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(morphism_and_text())
+    def test_agrees_with_enumeration(self, case):
+        phi, text = case
+        result = factorizable(phi, text)
+        witnesses = enumerate_interfered_factorizations(phi, text)
+        assert result.admits == any(w.z for w in witnesses)
+        if result:
+            assert result.x == "" or result.x in phi.proper_image_suffixes
+            assert result.z in phi.proper_image_prefixes
+            assert reassembles(phi, result, text)
+        # C[j] = 1 iff text[:j] = x . y, x empty or a proper image suffix
+        xs = ("", *phi.proper_image_suffixes)
+        bits = tuple(
+            int(any(
+                len(x) <= j and text.startswith(x)
+                and count_image_factorizations(phi, text[len(x) : j]) > 0
+                for x in xs
+            ))
+            for j in range(len(text) + 1)
+        )
+        assert result.table.bits == bits
+
+    @pytest.mark.parametrize(
+        "spec, text, x, y_symbols, z, bits",
+        [
+            # equal images listed b before a: the first source symbol listed wins
+            ("b->bb;a->bb", "bbbb", "b", ("b",), "b", (1, 1, 1, 1, 1)),
+            ("a->abca;b->bc;c->c", "abcabca", "", ("a", "b"), "a",
+             (1, 1, 0, 1, 1, 0, 1, 1)),
+            ("a->abca;b->bc;c->c", "bcbcabcab", "", ("b", "b", "a"), "b",
+             (1, 0, 1, 0, 1, 0, 0, 0, 1, 0)),
+        ],
+    )
+    def test_pinned_results(self, spec, text, x, y_symbols, z, bits):
+        result = factorizable(Morphism.parse(spec), text)
+        assert result.admits
+        assert (result.x, result.y_symbols, result.z) == (x, y_symbols, z)
+        assert result.table.bits == bits
 
     def test_requires_non_erasing(self):
         with pytest.raises(ErasingImageError):
