@@ -22,7 +22,6 @@ from .words import (
     word,
 )
 from .morphisms import Morphism, parse_morphism
-from .aho_corasick import ScanResult, scan
 from .interference import (
     InterferenceDecision,
     InterferenceWitness,

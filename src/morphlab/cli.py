@@ -17,12 +17,12 @@ import sys
 from pathlib import Path
 
 from . import classic, repeats
-from .aho_corasick import scan
+from .aho_corasick import p_pref_lengths, p_suf_lengths, require_non_erasing
 from .enumeration import is_recognizable_on
 from .errors import MorphlabError
 from .interference import is_interference_free_on, is_strongly_interference_free
 from .morphisms import Morphism
-from .words import Word, occurrences, word
+from .words import Word, find_all, occurrences, word
 
 
 def _slurp(arg: str) -> str:
@@ -122,9 +122,9 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_occ(args) -> int:
-    u = _word_arg(args.pattern)
-    w = _word_arg(args.text)
-    occ = occurrences(u, w)
+    pattern, text = _slurp(args.pattern), _slurp(args.text)
+    alphabet = word(pattern + text).alphabet
+    occ = occurrences(Word(pattern, alphabet), Word(text, alphabet))
     _emit(
         args,
         f"{len(occ)} occurrences at {occ.serialize() or '-'}",
@@ -196,18 +196,24 @@ _PRESERVE_FIXTURES = (
 )
 
 
+#: The (first, default last) order of each suite that takes ``--max-order``.
+_SUITE_ORDERS = {"fibonacci-mus": (6, 18), "tm-mus": (5, 14), "no-closed-form": (7, 14)}
+
+
 def _cmd_verify(args) -> int:
     suite = args.suite
-    n = args.max_order
-    if suite == "fibonacci-mus":
-        return _verify_report(args, repeats.verify_fibonacci_mus(range(6, (n or 18) + 1)))
-    if suite == "tm-mus":
-        return _verify_report(args, repeats.verify_tm_mus(range(5, (n or 14) + 1)))
-    if suite == "no-closed-form":
-        n = n or 14
+    if suite in _SUITE_ORDERS:
+        first, default = _SUITE_ORDERS[suite]
+        n = default if args.max_order is None else args.max_order
+        if n < first:
+            raise ValueError(f"--max-order of {suite} must be at least {first}, got {n}")
+        orders = range(first, n + 1)
+        if suite == "fibonacci-mus":
+            return _verify_report(args, repeats.verify_fibonacci_mus(orders))
+        if suite == "tm-mus":
+            return _verify_report(args, repeats.verify_tm_mus(orders))
         return _verify_report(
-            args,
-            repeats.verify_net_closed_forms(range(7, n + 1), range(5, min(n, 14) + 1)),
+            args, repeats.verify_net_closed_forms(orders, range(5, min(n, 14) + 1))
         )
     # occ-preserve: fixture checks plus report of observed counts
     failures = 0
@@ -232,13 +238,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan_debug(args) -> int:
     phi = _morphism_arg(args.morphism)
-    w = _word_arg(args.word)
-    result = scan(phi, w)
-    for pos in sorted(result.s):
-        print(f"S[{pos}] = {','.join(result.s[pos])}")
-    print(f"P_pref = {sorted(result.p_pref)}")
-    print(f"P_suf = {sorted(result.p_suf)}")
-    print(f"occ = {result.occ_total}")
+    text = _word_arg(args.word).text
+    require_non_erasing(phi)
+    s: dict[int, list[str]] = {}  # 1-based start -> the images' symbols
+    for c, img in phi.images:
+        for start in find_all(img, text):
+            s.setdefault(start + 1, []).append(c)
+    for pos in sorted(s):
+        print(f"S[{pos}] = {','.join(sorted(s[pos]))}")
+    print(f"P_pref = {sorted(p_pref_lengths(phi, text))}")
+    print(f"P_suf = {sorted(len(text) + 1 - size for size in p_suf_lengths(phi, text))}")
+    print(f"occ = {sum(map(len, s.values()))}")
     return 0
 
 

@@ -66,8 +66,8 @@ rule picks that occurrence at every one of these cuts.  With
 ``allow_non_injective=True`` on a non-injective phi the backtrack goes step
 by step.
 
-:func:`factorizable` keeps the text-level DP over the match stream of
-:func:`aho_corasick.scan`, since it reports the table C itself.
+:func:`factorizable` reports the table C itself, so it runs the
+text-level DP over the positions of w (:func:`_forward_dp`).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import getitem
 
-from .aho_corasick import p_pref_lengths, p_suf_lengths, require_non_erasing, scan
+from .aho_corasick import p_pref_lengths, p_suf_lengths, require_non_erasing
 from .errors import NonInjectiveMorphismError
 from .morphisms import Morphism
 from .words import Word
@@ -116,19 +116,12 @@ class InterferenceWitness:
 
 
 @dataclass(frozen=True)
-class FactorizableTable:
-    """Reachability table C[0..n]: C[j] = 1 iff w[1..j] = x . y."""
-
-    bits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FactorizableResult:
     admits: bool
     x: str = ""
     y_symbols: tuple[str, ...] = ()
     z: str = ""
-    table: FactorizableTable | None = None
+    table: tuple[int, ...] = ()  # C[0..n]: C[j] = 1 iff w[1..j] = x . y
 
     def __bool__(self) -> bool:
         return self.admits
@@ -176,25 +169,29 @@ def _require_injective(phi: Morphism, allow_non_injective: bool) -> bool:
     return True
 
 
-def _forward_dp(n, matches, seeds, accepts):
-    """Forward DP over the start-sorted match stream.
+def _forward_dp(text, images, seeds, accepts):
+    """Forward DP over the positions of ``text``.
 
-    Every match ending at p comes before any match starting at p, so C[p]
-    is final when the matches from p are read.
+    Each reached position p, in increasing order, lowers the value at the
+    end of each image of ``images`` ((symbol, image) pairs, nonempty images)
+    that starts there, tested in the order given.  Every image ending at p
+    starts before p, so C[p] is final when p is read.
 
     ``seeds`` maps a table index to the seed value it encodes; ``accepts`` are
     candidate 1-based positions j (acceptance needs table index j-1 set).
     Returns (the accepting j minimizing (value, j) or None, minseed, parent).
     """
+    n = len(text)
     minseed = [_INF] * (n + 1)
     parent: list[tuple[int, str] | None] = [None] * (n + 1)
     for idx, value in seeds.items():
         minseed[idx] = value
-    for p, length, sym in matches:
-        v = minseed[p]
-        if v < minseed[p + length]:
-            minseed[p + length] = v
-            parent[p + length] = (p, sym)
+    for p, v in enumerate(minseed):  # reads the values lowered so far
+        if v < _INF:
+            for sym, img in images:
+                if text.startswith(img, p) and v < minseed[p + len(img)]:
+                    minseed[p + len(img)] = v
+                    parent[p + len(img)] = (p, sym)
     best = None
     for j in sorted(accepts):
         v = minseed[j - 1]
@@ -229,11 +226,12 @@ def factorizable(phi: Morphism, w: Word | str) -> FactorizableResult:
     text = str(w)
     if not text:
         raise ValueError("factorizable is defined for nonempty words")
-    artifacts = scan(phi, text)
-    seeds = {i: i for i in artifacts.p_pref}
+    require_non_erasing(phi)
+    seeds = {i: i for i in p_pref_lengths(phi, text)}
     seeds[0] = 0
-    j, minseed, parent = _forward_dp(len(text), artifacts.matches, seeds, artifacts.p_suf)
-    table = FactorizableTable(tuple(1 if v < _INF else 0 for v in minseed))
+    accepts = {len(text) + 1 - size for size in p_suf_lengths(phi, text)}
+    j, minseed, parent = _forward_dp(text, phi.images, seeds, accepts)
+    table = tuple(1 if v < _INF else 0 for v in minseed)
     if j is None:
         return FactorizableResult(False, table=table)
     x, y_symbols, z = _backtrack(text, j, parent)

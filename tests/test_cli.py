@@ -83,6 +83,15 @@ class TestApplyOccGen:
         assert record["count"] == "5"
         assert record["positions"] == "1,4,7,11,13"
 
+    @pytest.mark.parametrize("pattern, text, expected", [
+        ("a", "abc", "1 occurrences at 1"),  # the pattern's alphabet is smaller
+        ("ac", "ab", "0 occurrences at -"),  # the text's alphabet is smaller
+    ])
+    def test_occ_over_the_joined_alphabet(self, capsys, pattern, text, expected):
+        code, out, _ = run(capsys, "occ", "--pattern", pattern, "--text", text)
+        assert code == 0
+        assert out.strip() == expected
+
     def test_gen_fibonacci(self, capsys):
         code, out, _ = run(capsys, "gen", "--family", "fibonacci", "--order", "6")
         assert code == 0
@@ -132,6 +141,25 @@ class TestVerify:
         assert code == 0
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines == [f"PASS tm_{i}" for i in range(5, 9)]
+
+    @pytest.mark.parametrize("suite, max_order, first", [
+        ("fibonacci-mus", "3", 6),
+        ("fibonacci-mus", "5", 6),
+        ("tm-mus", "0", 5),
+        ("tm-mus", "4", 5),
+        ("no-closed-form", "6", 7),
+    ])
+    def test_max_order_below_the_first_order_is_error(self, capsys, suite, max_order, first):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-order", max_order)
+        assert code == 2
+        assert out == ""
+        assert f"at least {first}, got {max_order}" in err
+
+    def test_max_order_at_the_first_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "fibonacci-mus",
+                           "--max-order", "6")
+        assert code == 0
+        assert [l for l in out.splitlines() if not l.startswith("#")] == ["PASS F_6"]
 
     def test_occ_preserve_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "occ-preserve",
