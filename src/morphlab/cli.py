@@ -196,17 +196,24 @@ _PRESERVE_FIXTURES = (
 )
 
 
-#: The (first, default last) order of each suite that takes ``--max-order``.
-_SUITE_ORDERS = {"fibonacci-mus": (6, 18), "tm-mus": (5, 14), "no-closed-form": (7, 14)}
+#: The (first, default last, largest) order of each suite that takes
+#: ``--max-order``; the largest is the cap of the word family it generates.
+_SUITE_ORDERS = {
+    "fibonacci-mus": (6, 18, classic.MAX_FIBONACCI_ORDER),
+    "tm-mus": (5, 14, classic.MAX_THUE_MORSE_ORDER),
+    "no-closed-form": (7, 14, classic.MAX_FIBONACCI_ORDER),
+}
 
 
 def _cmd_verify(args) -> int:
     suite = args.suite
     if suite in _SUITE_ORDERS:
-        first, default = _SUITE_ORDERS[suite]
+        first, default, cap = _SUITE_ORDERS[suite]
         n = default if args.max_order is None else args.max_order
         if n < first:
             raise ValueError(f"--max-order of {suite} must be at least {first}, got {n}")
+        if n > cap:
+            raise ValueError(f"--max-order of {suite} must be at most the cap {cap}, got {n}")
         orders = range(first, n + 1)
         if suite == "fibonacci-mus":
             return _verify_report(args, repeats.verify_fibonacci_mus(orders))
@@ -216,6 +223,8 @@ def _cmd_verify(args) -> int:
             args, repeats.verify_net_closed_forms(orders, range(5, min(n, 14) + 1))
         )
     # occ-preserve: fixture checks plus report of observed counts
+    if args.max_order is not None:
+        raise ValueError(f"--max-order does not apply to {suite}")
     failures = 0
     for spec, u_text, v_text in _PRESERVE_FIXTURES:
         phi = Morphism.parse(spec)

@@ -21,8 +21,8 @@ position keeps which seeds reach it, and two values are read off that set:
   position n reached from P_pref.  The value is the largest such seed, so
   the longest x is reported.
 
-**The window automaton.**  The decision never builds w.  It reads u one
-source symbol at a time, and its state after u[:k], at the canonical cut
+**The window automaton.**  The decision never builds w.  It reads u from
+left to right, and its state after u[:k], at the canonical cut
 c = |phi(u[:k])|, is
 
 * the seed sets (as bit masks) of the max|img| positions c - max|img| + 1
@@ -36,27 +36,42 @@ above: a new position ORs the seed sets where the images ending at it start
 memoized per call, on each state's row keyed by the symbol, and the states
 are interned by (tail, masks); there is no cache across calls.  The first
 steps, while a P_pref seed still lies ahead of the cut, add that seed and
-are not memoized.  P_pref and P_suf come from
-:func:`aho_corasick.p_pref_lengths` and :func:`aho_corasick.p_suf_lengths`
-on phi of the first and the last max|img| symbols of u, so phi is applied
-to at most 2 max|img| symbols of u; P_suf is computed only when a position
-it could accept is reached.  Only |phi(u)| <= max|img| - 2 permits the inner kind, and then phi(u)
-is that head.
+are not memoized.  After them u is read in slices of ``_SLICE`` symbols,
+unless the rest fits in one.  A slice is one more key on the same rows: its
+transition is the composition of the symbol transitions along it, so it
+ends in the state that the symbol-by-symbol run reaches.
+
+P_pref and P_suf come from :func:`aho_corasick.p_pref_lengths` and
+:func:`aho_corasick.p_suf_lengths` on phi of the first and the last
+max|img| symbols of u, so phi is applied to at most 2 max|img| symbols of
+u; P_suf is computed only when a position it could accept is reached.
+Only |phi(u)| <= max|img| - 2 permits the inner kind, and then phi(u) is
+that head.
 
 A call reaches at most |u| + 1 states, each of O(max|img|) size, so the
 state memory is O(|u| max|img|) in the worst case; the classic inputs of
-the benchmark reach three or four.  On a memo hit a step is one C-level dict lookup, so the
-decision runs |u| such lookups plus O(k max|img|) Python work per distinct
-(state, symbol) pair, for a morphism with k images.
+the benchmark reach three or four.  A memo hit is one C-level dict lookup,
+so the decision runs about |u| / ``_SLICE`` slice lookups (each hashes its
+slice), ``_SLICE`` symbol lookups per distinct (state, slice) pair, and
+O(k max|img|) Python work per distinct (state, symbol) pair, for a
+morphism with k images.  On a word built by a morphism the slices repeat:
+F_n has at most ``_SLICE`` + 1 distinct factors of that length.  On a word
+whose slices never repeat the run does the symbol-by-symbol run's lookups
+and stores one more entry per slice.
 
-**The witness.**  The decision records the state after every prefix of u.
+**The witness.**  The run keeps the state after each slice; the state
+after any other prefix of u is rebuilt from the state at the start of its
+slice by memo hits alone, and it is the object that the symbol-by-symbol
+run reaches (:class:`_Run`).  So the backtrack reads the same frames as a
+run that records every state, and slicing cannot change the witness.
 The masks of any position follow from the state of the step that covers
 it, and the backtrack applies the rule of the text-level DP
 (:func:`_forward_dp`, :func:`_backtrack`): from the accepting position it
 takes the first predecessor in start order (the longest image first, then
 source order) that the witness's seed reaches, until it stands on that
 seed.  For an injective phi a stretch of the path along canonical cuts
-that the seed reaches is copied as ``u[h:k]`` in one slice.  That is sound:
+that the seed reaches is copied as ``u[h:k]`` in one piece, and h is found
+by bisection over the slice ends, then inside one slice.  That is sound:
 let the seed s reach the cuts c_h, ..., c_k of u[:h], ..., u[:k].  At each
 c_i with h < i <= k, the occurrence of phi(u[i-1]) from c_(i-1) is a
 predecessor that s reaches.  Any predecessor that s reaches ends an image
@@ -74,6 +89,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from operator import getitem
 
@@ -83,6 +99,7 @@ from .morphisms import Morphism
 from .words import Word
 
 _INF = 1 << 60
+_SLICE = 128  # symbols of u per memoized slice transition (see _run_automaton)
 
 INTERFERED_FACTORIZATION = "interfered_factorization"
 INNER_IMAGE_FACTOR = "inner_image_factor"
@@ -257,10 +274,17 @@ class _State(dict):
     After the prefix u[:k], with cut c = |phi(u[:k])|, ``tail`` holds the
     last max|img| - 1 symbols of phi(u[:k]) and ``window`` the seed masks of
     the max|img| positions c - max|img| + 1 .. c (0 before position 0).  As
-    a dict the state maps a source symbol to the next state: a missing
-    entry is computed by ``advance`` and stored, so ``accumulate(u, getitem)``
-    runs without a Python-level step on every memo hit.  ``frames`` keeps,
-    per symbol, the masks the transition computed, for the backtrack.
+    a dict the state maps a source symbol, or a slice of u, to the next
+    state: a missing entry is computed and stored, so ``accumulate(...,
+    getitem)`` runs without a Python-level step on every memo hit.
+
+    A symbol's transition is computed by ``advance``, which keeps in
+    ``frames``, per symbol, the masks it computed, for the backtrack.  A
+    slice's transition is the composition of the symbol transitions along
+    it, ``reduce(getitem, slice, state)``.  So it is the state that the
+    symbol-by-symbol run reaches, and every step along the slice is left
+    memoized in the rows it passes through: the states inside a slice can
+    be rebuilt later from the state at its start by memo hits alone.
     """
 
     __slots__ = ("tail", "window", "frames", "advance")
@@ -271,13 +295,78 @@ class _State(dict):
         self.frames = {}
         self.advance = advance
 
-    def __missing__(self, a):
-        nxt = self[a] = self.advance(self, a)
+    def __missing__(self, key):
+        nxt = self.advance(self, key) if len(key) == 1 else reduce(getitem, key, self)
+        self[key] = nxt
         return nxt
 
 
-def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> list[_State]:
-    """The state after each prefix u[:k] of u = ``text``, for k = 0..|u|."""
+class _Run:
+    """The states of one run of the automaton over u, kept at slice ends.
+
+    ``states[k]`` is the state after u[:k] for k <= ``start``, the steps
+    that read a P_pref seed and are not memoized among them.  After that
+    ``states[start + i]`` is the state after u[:start + i * step], and the
+    last one the state after u; the last slice may be shorter.  When the
+    rest of u fits in one slice it is read symbol by symbol, and then
+    ``start`` is |u|.  The states inside a slice are rebuilt on demand, once
+    per slice, from the state at its start: they are the same objects that
+    a symbol-by-symbol run records, so the backtrack reads the same frames.
+    """
+
+    __slots__ = ("text", "start", "step", "states", "_inside")
+
+    def __init__(self, text, start, step, states):
+        self.text = text
+        self.start = start
+        self.step = step
+        self.states = states
+        self._inside = {}
+
+    def _slice(self, i):
+        """The states after each prefix of slice i, from the one at its start."""
+        states = self._inside.get(i)
+        if states is None:
+            begin = self.start + i * self.step
+            first = self.states[self.start + i]
+            chunk = self.text[begin : begin + self.step]
+            states = self._inside[i] = list(accumulate(chunk, getitem, initial=first))
+        return states
+
+    def state(self, k):
+        """The state after u[:k]."""
+        if k <= self.start:
+            return self.states[k]
+        i, r = divmod(k - self.start, self.step)
+        return self._slice(i)[r] if r else self.states[self.start + i]
+
+    def first_reaching(self, seed, k):
+        """The least h < k such that ``seed`` reaches the cut of u[:h], else k.
+
+        A seed that reaches the cut of u[:h] reaches every later cut, along
+        the occurrences of phi(u[h]), phi(u[h + 1]), ...  So the bisection
+        runs over the states at the slice ends first, and then inside the
+        one slice that holds h.
+        """
+        start, step = self.start, self.step
+
+        def reached(state):
+            return state.window[-1] >> seed & 1
+
+        ends = k if k <= start else start - (start - k) // step  # ends before k
+        j = bisect_left(self.states, 1, 0, ends, key=reached)
+        if j <= start:
+            return j
+        i = j - 1 - start  # h lies in slice i, whose start the seed does not reach
+        begin = start + i * step
+        return begin + bisect_left(self._slice(i), 1, 1, min(step, k - begin), key=reached)
+
+
+def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
+    """The run of the automaton over u = ``text``: the steps that read a
+    P_pref seed, then one memoized transition per slice of ``_SLICE``
+    symbols (the composition of its symbol transitions, see
+    :class:`_State`), or per symbol when the rest fits in one slice."""
     image_of = phi.image_map
     ends = phi.image_ends
     base = phi.max_image_length - 1  # frame index of the cut
@@ -323,13 +412,16 @@ def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> list[_State]:
         state = advance(state, text[k], cut)
         cut += len(image_of[text[k]])
         k += 1
-    path += accumulate(text[k:], getitem, initial=state)
-    return path
+    n = len(text)
+    if n - k <= _SLICE:
+        path += accumulate(text[k:], getitem, initial=state)
+        return _Run(text, n, 1, path)
+    slices = map(slice, range(k, n, _SLICE), range(k + _SLICE, n + _SLICE, _SLICE))
+    path += accumulate(map(text.__getitem__, slices), getitem, initial=state)
+    return _Run(text, k, _SLICE, path)
 
 
-def _trace_back(
-    phi: Morphism, text: str, path: list[_State], before_end: int, seed: int
-) -> tuple[str, ...]:
+def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> tuple[str, ...]:
     """The y symbols of the chain from ``seed`` to position |phi(u)| - before_end.
 
     Each step takes the first predecessor in start order (the longest image
@@ -338,30 +430,48 @@ def _trace_back(
     value: the smallest (largest) seed at a match's end is at most (at
     least) the one at its start, so a predecessor that the seed reaches has
     the seed's value.
+
+    The walk reads the states of the symbol-by-symbol run, rebuilt from the
+    slice ends by :meth:`_Run.state`, so slicing the run cannot change the
+    witness.  It counts positions back from the end of phi(u) until it can
+    pin them to the start cheaply: at a jump to the cut of u[:h], from
+    |phi(u[:h])|, or once k <= max|img| - 1.  No seed is passed before that:
+    the walk moves q only when q > |phi(u[:k - 1])| >= k - 1, which is at
+    least max|img| - 1 while k > max|img| - 1, and a seed, the length of a
+    proper image suffix, is at most max|img| - 1.
     """
+    text = run.text
     image_of = phi.image_map
     ends = phi.image_ends
     base = phi.max_image_length - 1
     injective = phi.is_injective
+
+    def length(k):  # |phi(u[:k])|
+        return sum(text.count(c, 0, k) * len(img) for c, img in phi.images)
+
     chunks: list[str] = []
-    # cut = |phi(u[:k])| >= q, from k = |u|
-    k, cut = len(text), sum(text.count(c) * len(img) for c, img in phi.images)
-    q = cut - before_end
-    while q != seed:
+    # cut = |phi(u[:k])| >= q, from k = |u|; both less |phi(u)| until pinned
+    k, cut, q = len(text), 0, -before_end
+    pinned = False
+    while not (pinned and q == seed):
+        if not pinned and k <= base:
+            shift = length(k) - cut
+            cut, q, pinned = cut + shift, q + shift, True
+            continue
         a = text[k - 1]
         prev = cut - len(image_of[a])
         if prev >= q:
             k, cut = k - 1, prev
             continue
-        state = path[k - 1]
         if injective and q == cut:
             # a seed that reaches one cut reaches every later one
-            h = bisect_left(path, 1, 0, k, key=lambda s: s.window[-1] >> seed & 1)
+            h = run.first_reaching(seed, k)
             if h < k:
                 chunks.append(text[h:k])
-                cut = sum(text.count(c, 0, h) * len(img) for c, img in phi.images)
-                k, q = h, cut
+                k, pinned = h, True
+                cut = q = length(h)
                 continue
+        state = run.state(k - 1)
         masks = state.frames[a]
         i = q - prev + base  # frame index of q
         for end, start, before, c in ends[a]:
@@ -386,8 +496,8 @@ def is_interference_free_on(
     size = phi.max_image_length
     head = phi.apply_text(text[:size])
     p_pref = p_pref_lengths(phi, head)
-    path = _run_automaton(phi, text, p_pref)
-    window = path[-1].window
+    run = _run_automaton(phi, text, p_pref)
+    window = run.states[-1].window
 
     # pass 1, z nonempty: the smallest seed, then the leftmost acceptance;
     # a suffix of length L ends x . y at window index size - 1 - L
@@ -402,12 +512,12 @@ def is_interference_free_on(
     if best is not None:
         seed, length = best
         x, z = head[:seed], tail[len(tail) - length:]
-        y_symbols = _trace_back(phi, text, path, length, seed)
+        y_symbols = _trace_back(phi, run, length, seed)
     elif window[-1] > 1:
         # z empty: x nonempty and phi(u) = x . y; the longest x is reported
         seed = window[-1].bit_length() - 1
         x, z = head[:seed], ""
-        y_symbols = _trace_back(phi, text, path, 0, seed)
+        y_symbols = _trace_back(phi, run, 0, seed)
     else:
         # the inner kind needs |phi(u)| <= max|img| - 2: then phi(u) == head,
         # while a longer u has |head| >= max|img|

@@ -222,7 +222,11 @@ def compute_mus(w: Word) -> list[MusOccurrence]:
     ``compute_net_occurrences(w)`` does not sort w's suffixes again."""
     if not w.text:
         raise ValueError("MUSs are defined for nonempty words")
-    return [MusOccurrence(i, j, w[i - 1 : j]) for i, j in _mus_intervals(w.text)]
+    text, alphabet = w.text, w.alphabet
+    return [
+        MusOccurrence(i, j, Word._trusted(text[i - 1 : j], alphabet))
+        for i, j in _mus_intervals(text)
+    ]
 
 
 def compute_net_occurrences(w: Word) -> list[NetOccurrence]:

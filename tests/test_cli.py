@@ -155,6 +155,25 @@ class TestVerify:
         assert out == ""
         assert f"at least {first}, got {max_order}" in err
 
+    @pytest.mark.parametrize("suite, max_order, cap", [
+        ("fibonacci-mus", "31", 30),
+        ("tm-mus", "23", 22),
+        ("no-closed-form", "31", 30),
+    ])
+    def test_max_order_above_the_cap_is_error_before_any_order_runs(
+        self, capsys, suite, max_order, cap
+    ):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-order", max_order)
+        assert code == 2
+        assert out == ""  # no PASS line: the cap is checked before the first order
+        assert f"at most the cap {cap}, got {max_order}" in err
+
+    def test_max_order_is_rejected_for_occ_preserve(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "occ-preserve", "--max-order", "1")
+        assert code == 2
+        assert out == ""
+        assert "--max-order does not apply to occ-preserve" in err
+
     def test_max_order_at_the_first_order(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "fibonacci-mus",
                            "--max-order", "6")

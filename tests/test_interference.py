@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,9 +22,11 @@ from morphlab import (
     thue_morse_word,
     word,
 )
+from morphlab import interference
 from morphlab.aho_corasick import p_pref_lengths, p_suf_lengths
 from morphlab.errors import ErasingImageError, NonInjectiveMorphismError
 from morphlab.interference import (
+    _SLICE,
     INNER_IMAGE_FACTOR,
     INTERFERED_FACTORIZATION,
     InterferenceDecision,
@@ -292,6 +296,74 @@ class TestWitnessDifferential:
         assert decision.witness.z == "b"
 
 
+def _iterate_prefix(phi, n):
+    """The first n symbols of t . phi(t) . ..., with t_0 the first source
+    symbol and t_(i+1) = t_i . phi(t_i): a word built by phi that grows
+    even when no image starts with its own symbol."""
+    text = phi.source.symbols[0]
+    while len(text) < n:
+        text += phi.apply_text(text)
+    return text[:n]
+
+
+def _long_cases(n):
+    """Decision inputs with |u| = n: the named morphisms on the Fibonacci
+    and Thue-Morse prefixes and on words they build, then random 2-4-symbol
+    morphisms, non-injective ones included, on random and iterated words."""
+    cases = []
+    for name, named in sorted(NAMED_MORPHISMS.items()):
+        phi = named.morphism
+        texts = [_iterate_prefix(phi, n)]
+        if phi.source.symbols == ("a", "b"):
+            texts += [fibonacci_word(20).text[:n], thue_morse_word(14).text[:n]]
+        cases += [(phi, Word(t, phi.source)) for t in texts]
+    rng = random.Random(n)
+    for _ in range(12):
+        source = "abcd"[: rng.randint(2, 4)]
+        phi = Morphism.from_map(
+            {c: "".join(rng.choices("abc", k=rng.randint(1, 5))) for c in source}
+        )
+        walk = "".join(rng.choices(source, k=n))
+        iterate = Morphism.from_map(
+            {c: "".join(rng.choices(source, k=rng.randint(1, 3))) for c in source}
+        )
+        for text in (walk, _iterate_prefix(iterate, n)):
+            cases.append((phi, Word(text, phi.source)))
+    return cases
+
+
+class TestBlockRunDifferential:
+    """Words around and beyond the slice length of the block run: every
+    decision field equals the DP over the positions of phi(u)."""
+
+    @pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1, 3000])
+    def test_lengths_around_the_slice(self, n):
+        kinds = set()
+        for phi, u in _long_cases(n):
+            overridden = not phi.is_injective
+            got = is_interference_free_on(phi, u, allow_non_injective=overridden)
+            assert got == reference_decision(phi, u, allow_non_injective=overridden), (
+                phi.format(), u.text)
+            w = got.witness
+            kinds.add("if" if w is None else (w.kind, bool(w.z), overridden))
+        # IF, both kinds of witness end, and an overridden non-injective phi
+        assert {"if", (INTERFERED_FACTORIZATION, True, False),
+                (INTERFERED_FACTORIZATION, False, False)} <= kinds, kinds
+        assert any(kind[2] for kind in kinds if kind != "if"), kinds
+
+    @pytest.mark.parametrize("m", [_SLICE - 1, _SLICE + 72, 2 * _SLICE + 1])
+    def test_chain_first_meets_a_cut_inside_a_slice(self, m):
+        # phi(b^m c^r) = a^2m (aab)^r; the chain from x = a runs off the
+        # cuts through b^m (aa . aa ...) and first meets one after u[:m + 1]
+        phi = Morphism.parse("a->ab;b->aa;c->aab")
+        u = Word("b" * m + "c" * 300, phi.source)
+        decision = is_interference_free_on(phi, u)
+        assert decision == reference_decision(phi, u)
+        w = decision.witness
+        assert (w.x, w.z) == ("a", "")
+        assert w.y_symbols == ("b",) * m + ("a",) + ("c",) * 299
+
+
 def test_decision_applies_phi_only_to_the_ends_of_u(monkeypatch):
     applied = []
     apply_text = Morphism.apply_text
@@ -305,6 +377,24 @@ def test_decision_applies_phi_only_to_the_ends_of_u(monkeypatch):
         applied.clear()
         is_interference_free_on(FIBONACCI, fibonacci_word(i))
         assert sum(applied) <= 2 * FIBONACCI.max_image_length, (i, applied)
+
+
+def test_backtrack_expands_few_slices(monkeypatch):
+    runs = []
+    run_automaton = interference._run_automaton
+
+    def keeping(*args):
+        runs.append(run_automaton(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(interference, "_run_automaton", keeping)
+    assert is_interference_free_on(FIBONACCI, fibonacci_word(26))
+    assert not is_interference_free_on(FIBONACCI, fibonacci_word(25))
+    if_run, not_if_run = runs
+    assert if_run.step == not_if_run.step == _SLICE
+    assert not if_run._inside  # an IF decision reads only the last state
+    # at most the last slice, and the one where the seed first meets a cut
+    assert len(not_if_run._inside) <= 2, sorted(not_if_run._inside)
 
 
 class TestPinnedWitnesses:
