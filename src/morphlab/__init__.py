@@ -29,7 +29,6 @@ from .interference import (
     factorizable,
     is_inner_image_factor,
     is_interference_free_on,
-    is_interference_free_on_language,
     is_strongly_interference_free,
 )
 from .enumeration import (

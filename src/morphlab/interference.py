@@ -28,18 +28,26 @@ c = |phi(u[:k])|, is
 * the seed sets (as bit masks) of the max|img| positions c - max|img| + 1
   .. c: every image occurrence that ends after c starts among them;
 * the last max|img| - 1 symbols of phi(u[:k]), which the occurrences that
-  straddle c need.
+  straddle c need;
+* the P_pref seeds that lie past c, each with its distance past c.  Before
+  u[0] every seed is pending, at its own length past the cut 0.
 
 The next state follows from the state and phi(a) alone, by the DP rule
-above: a new position ORs the seed sets where the images ending at it start
-(:attr:`Morphism.image_ends` lists them per symbol).  Transitions are
-memoized per call, on each state's row keyed by the symbol, and the states
-are interned by (tail, masks); there is no cache across calls.  The first
-steps, while a P_pref seed still lies ahead of the cut, add that seed and
-are not memoized.  After them u is read in slices of ``_SLICE`` symbols,
-unless the rest fits in one.  A slice is one more key on the same rows: its
-transition is the composition of the symbol transitions along it, so it
-ends in the state that the symbol-by-symbol run reaches.
+above: a new position takes the seed pending at its distance past the cut,
+if any, and ORs the seed sets where the images ending at it start
+(:attr:`Morphism.image_ends` lists them per symbol).  A seed's placement
+depends only on its distance past the cut, not on the cut itself, so a
+transition depends only on the state's key (tail, masks, pending seeds).
+Transitions are memoized per call, on each state's row keyed by the symbol,
+and every state, the initial one included, is interned by its key; there is
+no cache across calls.  So the run is one DFA over the source alphabet from
+its initial state.  Interning cannot merge two positions of one run at a
+state with pending seeds: a pending seed's distance is the seed minus the
+cut, and the cut strictly increases, as images are nonempty.  A word of at
+most ``_SLICE`` symbols is read symbol by symbol, a longer one in slices of
+``_SLICE`` symbols from its first symbol.  A slice is one more key on the
+same rows: its transition is the composition of the symbol transitions
+along it, so it ends in the state that the symbol-by-symbol run reaches.
 
 P_pref and P_suf come from :func:`aho_corasick.p_pref_lengths` and
 :func:`aho_corasick.p_suf_lengths` on phi of the first and the last
@@ -272,11 +280,12 @@ class _State(dict):
     """A state of the window automaton, and its row of transitions.
 
     After the prefix u[:k], with cut c = |phi(u[:k])|, ``tail`` holds the
-    last max|img| - 1 symbols of phi(u[:k]) and ``window`` the seed masks of
-    the max|img| positions c - max|img| + 1 .. c (0 before position 0).  As
-    a dict the state maps a source symbol, or a slice of u, to the next
-    state: a missing entry is computed and stored, so ``accumulate(...,
-    getitem)`` runs without a Python-level step on every memo hit.
+    last max|img| - 1 symbols of phi(u[:k]), ``window`` the seed masks of
+    the max|img| positions c - max|img| + 1 .. c (0 before position 0), and
+    ``ahead`` the P_pref seeds past c, as (seed - c, seed) pairs.  As a dict
+    the state maps a source symbol, or a slice of u, to the next state: a
+    missing entry is computed and stored, so ``accumulate(..., getitem)``
+    runs without a Python-level step on every memo hit.
 
     A symbol's transition is computed by ``advance``, which keeps in
     ``frames``, per symbol, the masks it computed, for the backtrack.  A
@@ -287,11 +296,12 @@ class _State(dict):
     be rebuilt later from the state at its start by memo hits alone.
     """
 
-    __slots__ = ("tail", "window", "frames", "advance")
+    __slots__ = ("tail", "window", "ahead", "frames", "advance")
 
-    def __init__(self, tail, window, advance):
+    def __init__(self, tail, window, ahead, advance):
         self.tail = tail
         self.window = window
+        self.ahead = ahead
         self.frames = {}
         self.advance = advance
 
@@ -304,21 +314,18 @@ class _State(dict):
 class _Run:
     """The states of one run of the automaton over u, kept at slice ends.
 
-    ``states[k]`` is the state after u[:k] for k <= ``start``, the steps
-    that read a P_pref seed and are not memoized among them.  After that
-    ``states[start + i]`` is the state after u[:start + i * step], and the
-    last one the state after u; the last slice may be shorter.  When the
-    rest of u fits in one slice it is read symbol by symbol, and then
-    ``start`` is |u|.  The states inside a slice are rebuilt on demand, once
-    per slice, from the state at its start: they are the same objects that
-    a symbol-by-symbol run records, so the backtrack reads the same frames.
+    ``states[i]`` is the state after u[:i * step], and the last one the
+    state after u; the last slice may be shorter.  A word of at most
+    ``_SLICE`` symbols is read symbol by symbol, with step 1.  The states
+    inside a slice are rebuilt on demand, once per slice, from the state at
+    its start: they are the same objects that a symbol-by-symbol run
+    records, so the backtrack reads the same frames.
     """
 
-    __slots__ = ("text", "start", "step", "states", "_inside")
+    __slots__ = ("text", "step", "states", "_inside")
 
-    def __init__(self, text, start, step, states):
+    def __init__(self, text, step, states):
         self.text = text
-        self.start = start
         self.step = step
         self.states = states
         self._inside = {}
@@ -327,98 +334,88 @@ class _Run:
         """The states after each prefix of slice i, from the one at its start."""
         states = self._inside.get(i)
         if states is None:
-            begin = self.start + i * self.step
-            first = self.states[self.start + i]
+            begin = i * self.step
             chunk = self.text[begin : begin + self.step]
-            states = self._inside[i] = list(accumulate(chunk, getitem, initial=first))
+            states = self._inside[i] = list(accumulate(chunk, getitem, initial=self.states[i]))
         return states
 
     def state(self, k):
         """The state after u[:k]."""
-        if k <= self.start:
-            return self.states[k]
-        i, r = divmod(k - self.start, self.step)
-        return self._slice(i)[r] if r else self.states[self.start + i]
+        i, r = divmod(k, self.step)
+        return self._slice(i)[r] if r else self.states[i]
 
     def first_reaching(self, seed, k):
         """The least h < k such that ``seed`` reaches the cut of u[:h], else k.
 
         A seed that reaches the cut of u[:h] reaches every later cut, along
         the occurrences of phi(u[h]), phi(u[h + 1]), ...  So the bisection
-        runs over the states at the slice ends first, and then inside the
-        one slice that holds h.
+        runs over the states at the slice ends before k first, and then
+        inside the one slice that holds h (an empty range when step is 1).
         """
-        start, step = self.start, self.step
+        step = self.step
 
         def reached(state):
             return state.window[-1] >> seed & 1
 
-        ends = k if k <= start else start - (start - k) // step  # ends before k
-        j = bisect_left(self.states, 1, 0, ends, key=reached)
-        if j <= start:
-            return j
-        i = j - 1 - start  # h lies in slice i, whose start the seed does not reach
-        begin = start + i * step
-        return begin + bisect_left(self._slice(i), 1, 1, min(step, k - begin), key=reached)
+        j = bisect_left(self.states, 1, 0, -(-k // step), key=reached)
+        if j == 0:
+            return 0
+        begin = (j - 1) * step  # h lies in this slice, whose start the seed does not reach
+        return begin + bisect_left(self._slice(j - 1), 1, 1, min(step, k - begin), key=reached)
 
 
 def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
-    """The run of the automaton over u = ``text``: the steps that read a
-    P_pref seed, then one memoized transition per slice of ``_SLICE``
-    symbols (the composition of its symbol transitions, see
-    :class:`_State`), or per symbol when the rest fits in one slice."""
+    """The run of the automaton over u = ``text``, from the state before
+    its first symbol, whose ``ahead`` holds every P_pref seed: one memoized
+    transition per slice of ``_SLICE`` symbols (the composition of its
+    symbol transitions, see :class:`_State`), or per symbol when u fits in
+    one slice."""
     image_of = phi.image_map
     ends = phi.image_ends
     base = phi.max_image_length - 1  # frame index of the cut
     keep = slice(-base, None) if base else slice(0, 0)  # the last base symbols
-    last_seed = max(p_pref, default=0)
     states: dict[tuple, _State] = {}
 
-    def advance(state, a, cut=None):
+    def advance(state, a):
         """The state after reading ``a`` in ``state``; stores the frame.
 
         The frame holds the masks of the positions cut - max|img| + 1 ..
-        cut + |phi(a)|.  A new position ORs the masks where the images
-        ending at it start (each final, as it lies further left) and, when
-        the ``cut`` of a first step is given, its own P_pref seed.
+        cut + |phi(a)|.  A new position gets its own P_pref seed, if one
+        lies that far ahead, and ORs the masks where the images ending at it
+        start (each final, as it lies further left).
         """
         image = image_of[a]
+        size = len(image)
         tail = state.tail
-        masks = [*state.window, *(0,) * len(image)]
-        if cut is not None:
-            for position in p_pref:
-                if cut < position <= cut + len(image):
-                    masks[base + position - cut] = 1 << position
+        masks = [*state.window, *(0,) * size]
+        ahead = state.ahead
+        if ahead:  # only the first steps have seeds past the cut
+            pending = []
+            for distance, seed in ahead:
+                if distance <= size:
+                    masks[base + distance] = 1 << seed
+                else:
+                    pending.append((distance - size, seed))
+            ahead = tuple(pending)
         for end, start, before, _ in ends[a]:
             reach = masks[start]
             if reach and (not before or tail.endswith(before)):
                 masks[end] |= reach
         state.frames[a] = masks
-        key = (tail + image)[keep], tuple(masks[len(image):])
-        if cut is not None and cut + len(image) < last_seed:
-            return _State(*key, advance)  # its step reads a seed too
+        key = (tail + image)[keep], tuple(masks[size:]), ahead
         nxt = states.get(key)
         if nxt is None:
             nxt = states[key] = _State(*key, advance)
         return nxt
 
-    state = _State("", (0,) * base + (1,), advance)  # seed 0 at position 0
-    if not p_pref:
-        states[state.tail, state.window] = state
-    path: list[_State] = []
-    cut = k = 0
-    while cut < last_seed:  # a seed lies ahead: no memo
-        path.append(state)
-        state = advance(state, text[k], cut)
-        cut += len(image_of[text[k]])
-        k += 1
+    seeds = sorted(p_pref)
+    key = "", (0,) * base + (1,), tuple(zip(seeds, seeds))  # seed 0 at position 0
+    state = states[key] = _State(*key, advance)
     n = len(text)
-    if n - k <= _SLICE:
-        path += accumulate(text[k:], getitem, initial=state)
-        return _Run(text, n, 1, path)
-    slices = map(slice, range(k, n, _SLICE), range(k + _SLICE, n + _SLICE, _SLICE))
-    path += accumulate(map(text.__getitem__, slices), getitem, initial=state)
-    return _Run(text, k, _SLICE, path)
+    if n <= _SLICE:
+        return _Run(text, 1, list(accumulate(text, getitem, initial=state)))
+    slices = (text[i : i + _SLICE] for i in range(0, n, _SLICE))
+    return _Run(text, _SLICE, list(accumulate(slices, getitem, initial=state)))
 
 
 def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> tuple[str, ...]:
@@ -537,16 +534,6 @@ def is_interference_free_on(
         donor_z=affix_donor(phi, z, suffix=False),
     )
     return InterferenceDecision(False, witness, overridden)
-
-
-def is_interference_free_on_language(
-    phi: Morphism, words: list[Word], *, allow_non_injective: bool = False
-) -> dict[str, InterferenceDecision]:
-    """Convenience loop over a finite language; keyed by word text."""
-    return {
-        u.text: is_interference_free_on(phi, u, allow_non_injective=allow_non_injective)
-        for u in words
-    }
 
 
 def is_strongly_interference_free(phi: Morphism) -> StrongInterferenceDecision:

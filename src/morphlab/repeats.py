@@ -341,18 +341,15 @@ def verify_occurrence_preservation(
     if not phi.is_injective:
         raise ValueError("occurrence preservation requires an injective morphism")
 
-    preconditions = True
+    image_v = phi.iterate(v, k)  # first: it rejects k >= 2 on a non-endomorphism
     failing: int | None = None
-    iter_u = u
-    for i in range(k):
-        if len(iter_u) and not is_interference_free_on(phi, iter_u):
-            preconditions = False
+    image_u = u
+    for i in range(k):  # phi IF on phi^i(u) for i < k, building phi^k(u) once
+        if failing is None and len(image_u) and not is_interference_free_on(phi, image_u):
             failing = i
-            break
-        iter_u = phi.apply(iter_u)
+        image_u = phi.apply(image_u)
+    preconditions = failing is None
 
-    image_u = phi.iterate(u, k)
-    image_v = phi.iterate(v, k)
     before = occurrences(u, v)
     after = occurrences(image_u, image_v)
 

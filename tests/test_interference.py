@@ -17,7 +17,6 @@ from morphlab import (
     fibonacci_word,
     is_inner_image_factor,
     is_interference_free_on,
-    is_interference_free_on_language,
     is_strongly_interference_free,
     thue_morse_word,
     word,
@@ -189,13 +188,6 @@ class TestDecision:
         with pytest.raises(ErasingImageError, match="erased: b"):
             is_interference_free_on(erasing, word("a"), allow_non_injective=True)
 
-    def test_language_loop(self):
-        decisions = is_interference_free_on_language(
-            FIB, [word("abaaba"), word("abaab")]
-        )
-        assert decisions["abaaba"].interference_free
-        assert not decisions["abaab"].interference_free
-
 
 @st.composite
 def morphism_and_word(draw):
@@ -309,8 +301,11 @@ def _iterate_prefix(phi, n):
 def _long_cases(n):
     """Decision inputs with |u| = n: the named morphisms on the Fibonacci
     and Thue-Morse prefixes and on words they build, then random 2-4-symbol
-    morphisms, non-injective ones included, on random and iterated words."""
-    cases = []
+    morphisms, non-injective ones included, on random and iterated words.
+    Under a->a;b->baaa the prefixes of (aaab)^k have P_pref {1, 2, 3}, so
+    seeds lie past the cuts of u[:0], u[:1] and u[:2]."""
+    pending = Morphism.parse("a->a;b->baaa")
+    cases = [(pending, Word(("aaab" * n)[:n], pending.source))]
     for name, named in sorted(NAMED_MORPHISMS.items()):
         phi = named.morphism
         texts = [_iterate_prefix(phi, n)]
@@ -339,6 +334,7 @@ class TestBlockRunDifferential:
     @pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1, 3000])
     def test_lengths_around_the_slice(self, n):
         kinds = set()
+        pending = False  # a P_pref seed lies past the cut of u[:1]
         for phi, u in _long_cases(n):
             overridden = not phi.is_injective
             got = is_interference_free_on(phi, u, allow_non_injective=overridden)
@@ -346,6 +342,10 @@ class TestBlockRunDifferential:
                 phi.format(), u.text)
             w = got.witness
             kinds.add("if" if w is None else (w.kind, bool(w.z), overridden))
+            head = phi.apply_text(u.text[: phi.max_image_length])
+            first = len(phi.image_map[u.text[0]])
+            pending |= max(p_pref_lengths(phi, head), default=0) > first
+        assert pending
         # IF, both kinds of witness end, and an overridden non-injective phi
         assert {"if", (INTERFERED_FACTORIZATION, True, False),
                 (INTERFERED_FACTORIZATION, False, False)} <= kinds, kinds

@@ -361,6 +361,13 @@ class TestOccurrencePreservation:
                 Morphism.parse("a->ab;b->a"), word("a"), word("a"), 0
             )
 
+    @pytest.mark.parametrize("u", ["a", "b"])
+    def test_rejects_iterating_a_non_endomorphism(self, u):
+        # the same error whichever path the check would take: c = phi(b) has
+        # no image, while phi is IF on a and on phi(a) = ab
+        with pytest.raises(ValueError, match="iterating k >= 2 requires"):
+            verify_occurrence_preservation(Morphism.parse("a->ab;b->c"), word(u), word("ab"), 2)
+
 
 class TestTheoremSweeps:
     def test_fibonacci_mus_closed_form(self):
