@@ -46,8 +46,20 @@ state with pending seeds: a pending seed's distance is the seed minus the
 cut, and the cut strictly increases, as images are nonempty.  A word of at
 most ``_SLICE`` symbols is read symbol by symbol, a longer one in slices of
 ``_SLICE`` symbols from its first symbol.  A slice is one more key on the
-same rows: its transition is the composition of the symbol transitions
-along it, so it ends in the state that the symbol-by-symbol run reaches.
+same rows, and so is each of its sub-slices of ``_SUB`` symbols (the last
+one may be shorter).  On a miss a slice's transition is composed from the
+transitions of its sub-slices, and a sub-slice's from its symbols.
+
+Every entry is exact and leaves its symbol steps memoized.  Claim: once
+S[v] is stored for a string v, it is the state that the symbol-by-symbol
+run reaches from S over v, and the row of each state that run passes holds
+the next symbol of v.  By induction on |v|: a symbol's entry is the step
+itself.  A longer entry is a composition, ``reduce(getitem, ...)``, of
+shorter keys that starts at S itself, so each key in it is read on the
+state that the run has reached there; a hit is an entry stored earlier and
+a miss is computed now, and both satisfy the claim by induction.  No entry
+is ever removed within a call.  So the states inside any slice can be
+rebuilt from the state at its start by memo hits alone.
 
 P_pref and P_suf come from :func:`aho_corasick.p_pref_lengths` and
 :func:`aho_corasick.p_suf_lengths` on phi of the first and the last
@@ -60,12 +72,17 @@ A call reaches at most |u| + 1 states, each of O(max|img|) size, so the
 state memory is O(|u| max|img|) in the worst case; the classic inputs of
 the benchmark reach three or four.  A memo hit is one C-level dict lookup,
 so the decision runs about |u| / ``_SLICE`` slice lookups (each hashes its
-slice), ``_SLICE`` symbol lookups per distinct (state, slice) pair, and
+slice), ``_SLICE`` / ``_SUB`` sub-slice lookups per distinct (state, slice)
+pair, ``_SUB`` symbol lookups per distinct (state, sub-slice) pair, and
 O(k max|img|) Python work per distinct (state, symbol) pair, for a
 morphism with k images.  On a word built by a morphism the slices repeat:
-F_n has at most ``_SLICE`` + 1 distinct factors of that length.  On a word
-whose slices never repeat the run does the symbol-by-symbol run's lookups
-and stores one more entry per slice.
+F_n has at most ``_SLICE`` + 1 distinct factors of that length, and far
+fewer distinct sub-slices are reached.  One decision on F_25 (75,025
+symbols) misses 132 (state, slice) pairs but only 19 (state, sub-slice)
+pairs, so it composes about 300 symbol steps, where composing each slice
+from its symbols took about 16,800.  On a word whose slices never repeat
+the run does the symbol-by-symbol run's lookups plus one sub-slice lookup
+per ``_SUB`` symbols, and stores one more entry per slice and sub-slice.
 
 **The witness.**  The run keeps the state after each slice; the state
 after any other prefix of u is rebuilt from the state at the start of its
@@ -108,6 +125,7 @@ from .words import Word
 
 _INF = 1 << 60
 _SLICE = 128  # symbols of u per memoized slice transition (see _run_automaton)
+_SUB = 16  # symbols per memoized sub-slice a slice is composed from (see _State)
 
 INTERFERED_FACTORIZATION = "interfered_factorization"
 INNER_IMAGE_FACTOR = "inner_image_factor"
@@ -289,11 +307,15 @@ class _State(dict):
 
     A symbol's transition is computed by ``advance``, which keeps in
     ``frames``, per symbol, the masks it computed, for the backtrack.  A
-    slice's transition is the composition of the symbol transitions along
-    it, ``reduce(getitem, slice, state)``.  So it is the state that the
-    symbol-by-symbol run reaches, and every step along the slice is left
-    memoized in the rows it passes through: the states inside a slice can
-    be rebuilt later from the state at its start by memo hits alone.
+    key of at most ``_SUB`` symbols is composed from its symbols,
+    ``reduce(getitem, key, state)``, and a longer one (a slice) from its
+    sub-slices of ``_SUB`` symbols, each one more key on the rows it
+    passes.  Either way the composition starts at this state, so the entry
+    is the state that the symbol-by-symbol run reaches, and every step
+    along it is left memoized in the rows it passes through: the states
+    inside a slice can be rebuilt later from the state at its start by memo
+    hits alone (see the module docstring).  A missed slice then costs
+    ``_SLICE`` / ``_SUB`` lookups when its sub-slices were seen before.
     """
 
     __slots__ = ("tail", "window", "ahead", "frames", "advance")
@@ -306,7 +328,13 @@ class _State(dict):
         self.advance = advance
 
     def __missing__(self, key):
-        nxt = self.advance(self, key) if len(key) == 1 else reduce(getitem, key, self)
+        n = len(key)
+        if n == 1:
+            nxt = self.advance(self, key)
+        elif n <= _SUB:
+            nxt = reduce(getitem, key, self)
+        else:
+            nxt = reduce(getitem, (key[i : i + _SUB] for i in range(0, n, _SUB)), self)
         self[key] = nxt
         return nxt
 
@@ -367,9 +395,9 @@ class _Run:
 def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
     """The run of the automaton over u = ``text``, from the state before
     its first symbol, whose ``ahead`` holds every P_pref seed: one memoized
-    transition per slice of ``_SLICE`` symbols (the composition of its
-    symbol transitions, see :class:`_State`), or per symbol when u fits in
-    one slice."""
+    transition per slice of ``_SLICE`` symbols (composed from its
+    sub-slices, see :class:`_State`), or per symbol when u fits in one
+    slice."""
     image_of = phi.image_map
     ends = phi.image_ends
     base = phi.max_image_length - 1  # frame index of the cut

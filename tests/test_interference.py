@@ -1,4 +1,6 @@
 import random
+from itertools import accumulate
+from operator import getitem
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,7 @@ from morphlab.aho_corasick import p_pref_lengths, p_suf_lengths
 from morphlab.errors import ErasingImageError, NonInjectiveMorphismError
 from morphlab.interference import (
     _SLICE,
+    _SUB,
     INNER_IMAGE_FACTOR,
     INTERFERED_FACTORIZATION,
     InterferenceDecision,
@@ -331,7 +334,9 @@ class TestBlockRunDifferential:
     """Words around and beyond the slice length of the block run: every
     decision field equals the DP over the positions of phi(u)."""
 
-    @pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1, 3000])
+    @pytest.mark.parametrize("n", [
+        _SUB - 1, _SUB, _SUB + 1, _SLICE - 1, _SLICE, _SLICE + 1,
+        _SLICE + _SUB + 1, 2 * _SLICE + 1, 2 * _SLICE + 3, 3000])
     def test_lengths_around_the_slice(self, n):
         kinds = set()
         pending = False  # a P_pref seed lies past the cut of u[:1]
@@ -362,6 +367,47 @@ class TestBlockRunDifferential:
         w = decision.witness
         assert (w.x, w.z) == ("a", "")
         assert w.y_symbols == ("b",) * m + ("a",) + ("c",) * 299
+
+
+def _same_state_cases():
+    """The named morphisms on 5,000-symbol prefixes of their iterates, then
+    seeded random injective 2-3-symbol morphisms on random and iterated
+    words of 100..3,000 symbols."""
+    cases = [(named.morphism, _iterate_prefix(named.morphism, 5000))
+             for _, named in sorted(NAMED_MORPHISMS.items())]
+    rng = random.Random(13)
+    while len(cases) < 30:
+        source = "abc"[: rng.randint(2, 3)]
+        phi = Morphism.from_map(
+            {c: "".join(rng.choices("abc", k=rng.randint(1, 5))) for c in source}
+        )
+        if not phi.is_injective:
+            continue
+        n = rng.randint(100, 3000)
+        iterate = Morphism.from_map(
+            {c: "".join(rng.choices(source, k=rng.randint(1, 3))) for c in source}
+        )
+        cases.append((phi, "".join(rng.choices(source, k=n))))
+        cases.append((phi, _iterate_prefix(iterate, n)))
+    return cases
+
+
+@pytest.mark.parametrize("phi, text", _same_state_cases(), ids=lambda v: (
+    v.format() if isinstance(v, Morphism) else str(len(v))))
+def test_slices_reach_the_states_of_the_symbol_run(phi, text):
+    # every slice ends in the state the symbol-by-symbol run reaches, and
+    # the symbol steps inside it are memo hits (dict.get never computes)
+    head = phi.apply_text(text[: phi.max_image_length])
+    run = interference._run_automaton(phi, text, p_pref_lengths(phi, head))
+    assert run.step == _SLICE
+    for i, start in enumerate(run.states[:-1]):
+        state = start
+        for a in text[i * _SLICE : (i + 1) * _SLICE]:
+            state = state.get(a)
+            assert state is not None, (phi.format(), i)
+        assert state is run.states[i + 1], (phi.format(), i)
+    symbol_run = list(accumulate(text, getitem, initial=run.states[0]))
+    assert all(run.state(k) is s for k, s in enumerate(symbol_run)), phi.format()
 
 
 def test_decision_applies_phi_only_to_the_ends_of_u(monkeypatch):
@@ -395,6 +441,22 @@ def test_backtrack_expands_few_slices(monkeypatch):
     assert not if_run._inside  # an IF decision reads only the last state
     # at most the last slice, and the one where the seed first meets a cut
     assert len(not_if_run._inside) <= 2, sorted(not_if_run._inside)
+
+
+def test_slices_compose_few_symbol_steps(monkeypatch):
+    # a slice miss composes memoized sub-slices, so one F_25 decision steps
+    # through a few hundred single symbols, not 128 per distinct slice
+    steps = []
+    reduce = interference.reduce
+
+    def counting(function, keys, initial):
+        keys = list(keys)
+        steps.append(sum(len(key) == 1 for key in keys))
+        return reduce(function, keys, initial)
+
+    monkeypatch.setattr(interference, "reduce", counting)
+    assert not is_interference_free_on(FIBONACCI, fibonacci_word(25))
+    assert 0 < sum(steps) < 2000, sum(steps)
 
 
 class TestPinnedWitnesses:
