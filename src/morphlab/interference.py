@@ -46,20 +46,23 @@ state with pending seeds: a pending seed's distance is the seed minus the
 cut, and the cut strictly increases, as images are nonempty.  A word of at
 most ``_SLICE`` symbols is read symbol by symbol, a longer one in slices of
 ``_SLICE`` symbols from its first symbol.  A slice is one more key on the
-same rows, and so is each of its sub-slices of ``_SUB`` symbols (the last
-one may be shorter).  On a miss a slice's transition is composed from the
-transitions of its sub-slices, and a sub-slice's from its symbols.
+same rows, and so is a sub-slice of ``_SUB`` symbols.  A missed sub-slice
+is composed from its symbols.  A missed slice whose first sub-slice has an
+entry in the state is composed from its sub-slices (the last one may be
+shorter); otherwise from its first sub-slice, which is stored, and then its
+symbols.  So sub-slices are stored where they repeat, and a word whose
+sub-slices never repeat stores one per slice.
 
 Every entry is exact and leaves its symbol steps memoized.  Claim: once
 S[v] is stored for a string v, it is the state that the symbol-by-symbol
 run reaches from S over v, and the row of each state that run passes holds
 the next symbol of v.  By induction on |v|: a symbol's entry is the step
 itself.  A longer entry is a composition, ``reduce(getitem, ...)``, of
-shorter keys that starts at S itself, so each key in it is read on the
-state that the run has reached there; a hit is an entry stored earlier and
-a miss is computed now, and both satisfy the claim by induction.  No entry
-is ever removed within a call.  So the states inside any slice can be
-rebuilt from the state at its start by memo hits alone.
+shorter keys read one after another from S itself, so each key in it is
+read on the state that the run has reached there; a hit is an entry stored
+earlier and a miss is computed now, and both satisfy the claim by
+induction.  No entry is ever removed within a call.  So the states inside
+any slice can be rebuilt from the state at its start by memo hits alone.
 
 P_pref and P_suf come from :func:`aho_corasick.p_pref_lengths` and
 :func:`aho_corasick.p_suf_lengths` on phi of the first and the last
@@ -72,17 +75,23 @@ A call reaches at most |u| + 1 states, each of O(max|img|) size, so the
 state memory is O(|u| max|img|) in the worst case; the classic inputs of
 the benchmark reach three or four.  A memo hit is one C-level dict lookup,
 so the decision runs about |u| / ``_SLICE`` slice lookups (each hashes its
-slice), ``_SLICE`` / ``_SUB`` sub-slice lookups per distinct (state, slice)
-pair, ``_SUB`` symbol lookups per distinct (state, sub-slice) pair, and
-O(k max|img|) Python work per distinct (state, symbol) pair, for a
-morphism with k images.  On a word built by a morphism the slices repeat:
-F_n has at most ``_SLICE`` + 1 distinct factors of that length, and far
-fewer distinct sub-slices are reached.  One decision on F_25 (75,025
-symbols) misses 132 (state, slice) pairs but only 19 (state, sub-slice)
-pairs, so it composes about 300 symbol steps, where composing each slice
-from its symbols took about 16,800.  On a word whose slices never repeat
-the run does the symbol-by-symbol run's lookups plus one sub-slice lookup
-per ``_SUB`` symbols, and stores one more entry per slice and sub-slice.
+slice); per distinct (state, slice) pair, ``_SLICE`` / ``_SUB`` sub-slice
+lookups if its first sub-slice is stored, else one stored sub-slice and
+``_SLICE`` symbol lookups; ``_SUB`` symbol lookups per distinct (state,
+sub-slice) pair; and O(k max|img|) Python work per distinct (state,
+symbol) pair, for a morphism with k images.  On a word built by a morphism
+the slices repeat (F_n has at most ``_SLICE`` + 1 distinct factors of that
+length) and the sub-slices more: in the 16 decisions of the benchmark's
+``classic-if`` workload 1,352 of 13,568 slice lookups miss, 88% of the
+misses are composed from sub-slices, and 99% of their sub-slice lookups
+hit.  One decision on F_25 (75,025 symbols) composes 1,761 symbol steps,
+where composing each slice from its symbols took 16,785.  On a word whose
+sub-slices never repeat (random binary or ternary words) no missed slice
+finds its first sub-slice, so each costs one more dict lookup, one stored
+sub-slice and two string copies.  A decision on such a word of 10^4 or 10^5
+symbols takes about 8-11% longer than when each missed slice is composed
+from its symbols (2-core machine, in-process paired medians); composing
+every missed slice from its sub-slices made it take about twice as long.
 
 **The witness.**  The run keeps the state after each slice; the state
 after any other prefix of u is rebuilt from the state at the start of its
@@ -308,14 +317,15 @@ class _State(dict):
     A symbol's transition is computed by ``advance``, which keeps in
     ``frames``, per symbol, the masks it computed, for the backtrack.  A
     key of at most ``_SUB`` symbols is composed from its symbols,
-    ``reduce(getitem, key, state)``, and a longer one (a slice) from its
-    sub-slices of ``_SUB`` symbols, each one more key on the rows it
-    passes.  Either way the composition starts at this state, so the entry
-    is the state that the symbol-by-symbol run reaches, and every step
-    along it is left memoized in the rows it passes through: the states
-    inside a slice can be rebuilt later from the state at its start by memo
-    hits alone (see the module docstring).  A missed slice then costs
-    ``_SLICE`` / ``_SUB`` lookups when its sub-slices were seen before.
+    ``reduce(getitem, key, state)``.  A longer one (a slice) is composed
+    from its sub-slices of ``_SUB`` symbols, each one more key on the rows
+    it passes, when its first sub-slice has an entry here; otherwise from
+    that sub-slice, stored, and then its symbols.  Either way the
+    composition starts at this state, so the entry is the state that the
+    symbol-by-symbol run reaches, and every step along it is left memoized
+    in the rows it passes through: the states inside a slice can be rebuilt
+    later from the state at its start by memo hits alone (see the module
+    docstring).
     """
 
     __slots__ = ("tail", "window", "ahead", "frames", "advance")
@@ -328,13 +338,19 @@ class _State(dict):
         self.advance = advance
 
     def __missing__(self, key):
-        n = len(key)
-        if n == 1:
+        if len(key) == 1:
             nxt = self.advance(self, key)
-        elif n <= _SUB:
+        elif len(key) <= _SUB:
             nxt = reduce(getitem, key, self)
-        else:
-            nxt = reduce(getitem, (key[i : i + _SUB] for i in range(0, n, _SUB)), self)
+        else:  # a slice: from its sub-slices once its first one has an entry here
+            head = key[:_SUB]
+            nxt = self.get(head)
+            if nxt is None:
+                nxt = self[head] = reduce(getitem, head, self)
+                rest = key[_SUB:]
+            else:
+                rest = (key[i : i + _SUB] for i in range(_SUB, len(key), _SUB))
+            nxt = reduce(getitem, rest, nxt)
         self[key] = nxt
         return nxt
 

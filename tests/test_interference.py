@@ -370,11 +370,13 @@ class TestBlockRunDifferential:
 
 
 def _same_state_cases():
-    """The named morphisms on 5,000-symbol prefixes of their iterates, then
-    seeded random injective 2-3-symbol morphisms on random and iterated
-    words of 100..3,000 symbols."""
+    """The named morphisms on 5,000-symbol prefixes of their iterates, the
+    Fibonacci morphism on F_25, then seeded random injective 2-3-symbol
+    morphisms on random and iterated words of 100..3,000 symbols."""
     cases = [(named.morphism, _iterate_prefix(named.morphism, 5000))
              for _, named in sorted(NAMED_MORPHISMS.items())]
+    # most slice ends resynchronize after a wrong composition; one of F_25's does not
+    cases.append((FIBONACCI, fibonacci_word(25).text))
     rng = random.Random(13)
     while len(cases) < 30:
         source = "abc"[: rng.randint(2, 3)]
@@ -444,8 +446,9 @@ def test_backtrack_expands_few_slices(monkeypatch):
 
 
 def test_slices_compose_few_symbol_steps(monkeypatch):
-    # a slice miss composes memoized sub-slices, so one F_25 decision steps
-    # through a few hundred single symbols, not 128 per distinct slice
+    # a slice miss composes memoized sub-slices once its first one was seen,
+    # so one F_25 decision steps through under 2,000 single symbols, not
+    # 128 per distinct slice (16,785)
     steps = []
     reduce = interference.reduce
 
@@ -457,6 +460,24 @@ def test_slices_compose_few_symbol_steps(monkeypatch):
     monkeypatch.setattr(interference, "reduce", counting)
     assert not is_interference_free_on(FIBONACCI, fibonacci_word(25))
     assert 0 < sum(steps) < 2000, sum(steps)
+
+
+def test_sub_slices_that_do_not_repeat_are_not_kept():
+    # on a random ternary word no first sub-slice repeats in a state, so
+    # each missed slice is composed from its symbols and keeps one sub-slice
+    phi = NAMED_MORPHISMS["variant-thue-morse"].morphism
+    text = "".join(random.Random(3).choices("abc", k=3000))
+    run = interference._run_automaton(phi, text, set())
+    seen, todo, kept = set(), [run.states[0]], 0
+    while todo:
+        state = todo.pop()
+        if id(state) not in seen:
+            seen.add(id(state))
+            kept += sum(1 < len(key) <= _SUB for key in state)
+            todo.extend(state.values())
+    slices = len(run.states) - 1
+    assert slices == -(-len(text) // _SLICE)
+    assert kept == slices, (kept, slices)
 
 
 class TestPinnedWitnesses:
