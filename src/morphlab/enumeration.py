@@ -30,9 +30,16 @@ class EnumerationBudget:
 
 def default_budget() -> EnumerationBudget:
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw:
-        return EnumerationBudget(max_factorizations=int(raw))
-    return EnumerationBudget()
+    if not raw:
+        return EnumerationBudget()
+    message = f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}"
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if value < 1:
+        raise ValueError(message)
+    return EnumerationBudget(max_factorizations=value)
 
 
 @dataclass(frozen=True)

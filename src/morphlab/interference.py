@@ -65,9 +65,11 @@ induction.  No entry is ever removed within a call.  So the states inside
 any slice can be rebuilt from the state at its start by memo hits alone.
 
 P_pref and P_suf come from :func:`aho_corasick.p_pref_lengths` and
-:func:`aho_corasick.p_suf_lengths` on phi of the first and the last
-max|img| symbols of u, so phi is applied to at most 2 max|img| symbols of
-u; P_suf is computed only when a position it could accept is reached.
+:func:`aho_corasick.p_suf_lengths`, which look up the prefixes of phi of
+the first max|img| symbols of u among the morphism's proper image suffixes,
+and the suffixes of phi of the last max|img| symbols among its proper image
+prefixes.  So phi is applied to at most 2 max|img| symbols of u; P_suf is
+computed only when a position it could accept is reached.
 Only |phi(u)| <= max|img| - 2 permits the inner kind, and then phi(u) is
 that head.
 

@@ -106,11 +106,6 @@ class Morphism:
         return max(map(len, self.image_texts))
 
     @cached_property
-    def reversed_image_texts(self) -> tuple[str, ...]:
-        """The reversals of :attr:`image_texts`, in the same order."""
-        return tuple(img[::-1] for img in self.image_texts)
-
-    @cached_property
     def proper_image_prefixes(self) -> frozenset[str]:
         """Nonempty proper prefixes of images."""
         return frozenset(img[:k] for img in self.image_texts for k in range(1, len(img)))

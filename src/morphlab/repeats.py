@@ -30,6 +30,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress, islice
 from operator import gt
 
+from .errors import NonInjectiveMorphismError
 from .interference import is_interference_free_on
 from .morphisms import Morphism
 from .words import Word, flip, longest_proper_prefix, occ_count, occurrences
@@ -339,7 +340,10 @@ def verify_occurrence_preservation(
     if k < 1:
         raise ValueError("iteration count must be >= 1")
     if not phi.is_injective:
-        raise ValueError("occurrence preservation requires an injective morphism")
+        raise NonInjectiveMorphismError(
+            "occurrence preservation requires an injective morphism",
+            witness=phi.injectivity_witness,
+        )
 
     image_v = phi.iterate(v, k)  # first: it rejects k >= 2 on a non-endomorphism
     failing: int | None = None

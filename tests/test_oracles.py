@@ -54,6 +54,13 @@ class TestImageFactorizations:
         with pytest.raises(BudgetExceededError):
             enumerate_image_factorizations(m, "a" * 12)
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+    def test_budget_env_rejects_a_non_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("MORPHLAB_BUDGET", raw)
+        message = f"MORPHLAB_BUDGET must be a positive integer, got '{raw}'"
+        with pytest.raises(ValueError, match=message):
+            enumerate_image_factorizations(FIB, "abab")
+
 
 class TestInterferedFactorizations:
     def test_fibonacci_odd_witnesses(self):

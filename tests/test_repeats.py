@@ -27,6 +27,7 @@ from morphlab import (
 )
 from morphlab import repeats
 from morphlab.classic import NAMED_MORPHISMS
+from morphlab.errors import NonInjectiveMorphismError
 from morphlab.repeats import NetOccurrence, lcp_array, shortest_unique_lengths, suffix_array
 from morphlab.words import occ_count
 
@@ -360,6 +361,12 @@ class TestOccurrencePreservation:
             verify_occurrence_preservation(
                 Morphism.parse("a->ab;b->a"), word("a"), word("a"), 0
             )
+
+    def test_rejects_non_injective_with_witness(self):
+        phi = Morphism.parse("a->a;b->aa")
+        with pytest.raises(NonInjectiveMorphismError) as caught:
+            verify_occurrence_preservation(phi, word("a"), word("a"), 1)
+        assert tuple(w.text for w in caught.value.witness) == ("aa", "b")
 
     @pytest.mark.parametrize("u", ["a", "b"])
     def test_rejects_iterating_a_non_endomorphism(self, u):
