@@ -6,6 +6,10 @@ definition: candidate cuts are enumerated exhaustively and middles are
 decomposed by a transparent prefix DP over the source symbols.  Costs are
 exponential in principle, so enumerations carry an explicit budget and fail
 loudly instead of truncating.
+
+Recognizability is decided here too, by one counting DP: every rotation of
+phi(u) has the same number of circular factorizations (the proof is in
+:func:`is_recognizable_on`), so only phi(u) itself is counted.
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ class CircularFactorization:
 
 @dataclass(frozen=True)
 class RecognizabilityDecision:
+    """The answer of :func:`is_recognizable_on`.  When not recognizable,
+    ``offending_rotation`` is phi(u) itself (every rotation has the same
+    count) and ``factorization_count`` its number of circular
+    factorizations."""
+
     recognizable: bool
     offending_rotation: Word | None = None
     factorization_count: int | None = None
@@ -198,9 +207,11 @@ def enumerate_circular_factorizations(
 
 
 def count_circular_factorizations(phi: Morphism, w: Word | str) -> int:
-    """Number of circular factorizations, via counting DP (no
-    materialization), so long rotations stay polynomial."""
+    """Number of circular factorizations of w, via counting DP (no
+    materialization)."""
     text = str(w)
+    if not text:
+        raise ValueError("circular factorizations are defined for nonempty words")
     n = len(text)
     counts_from: dict[int, list[int]] = {}
     total = 0
@@ -217,9 +228,17 @@ def count_circular_factorizations(phi: Morphism, w: Word | str) -> int:
 
 
 def is_recognizable_on(phi: Morphism, u: Word) -> RecognizabilityDecision:
-    """phi is recognizable on {u} iff every rotation of phi(u) has exactly
-    one circular factorization.  On failure, reports the first offending
-    rotation (in shift order) and its count."""
+    """phi is recognizable on {u} iff every rotation of w = phi(u) has
+    exactly one circular factorization.  One count decides it.
+
+    Every rotation of w has the same number of circular factorizations.  A
+    circular factorization q . r . p of the rotation w[i:] . w[:i] (p
+    nonempty, p . q = phi(c), |p| + |q| <= |w|) is a cyclic image parse of
+    w in which the image p . q covers the rotation's last symbol.  Every
+    cyclic parse has exactly one image covering that symbol, so every
+    rotation's count equals the number of cyclic parses of w.  On failure
+    the offending rotation is therefore phi(u) itself, reported with its
+    count."""
     if not phi.is_injective:
         raise NonInjectiveMorphismError(
             "recognizability is defined for injective morphisms only",
@@ -228,11 +247,9 @@ def is_recognizable_on(phi: Morphism, u: Word) -> RecognizabilityDecision:
     if len(u) == 0:
         raise ValueError("recognizability is defined for nonempty words")
     text = phi.apply_text(u.text)
-    for i in range(len(text)):
-        rot = text[i:] + text[:i]
-        count = count_circular_factorizations(phi, rot)
-        if count != 1:
-            return RecognizabilityDecision(False, Word(rot, phi.target), count)
+    count = count_circular_factorizations(phi, text)
+    if count != 1:
+        return RecognizabilityDecision(False, Word(text, phi.target), count)
     return RecognizabilityDecision(True)
 
 

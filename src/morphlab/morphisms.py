@@ -186,8 +186,13 @@ class Morphism:
     @cached_property
     def injectivity_witness(self) -> tuple[Word, Word] | None:
         """None when injective; otherwise a canonical pair of distinct source
-        words with equal images (minimal total length, lexicographically
-        smallest pair)."""
+        words with equal images.
+
+        Among the pairs whose words start with different symbols it has
+        minimal total length and is the lexicographically smallest; a pair
+        outside that class may be smaller (``a->.;b->b`` gives (ab, b),
+        though (a, aa) has the same length).  Only a one-symbol source with
+        an empty image has no such pair; it gives (c, cc) for the erased c."""
         pair = _injectivity_witness(self.image_map, self.source.symbols)
         if pair is None:
             return None
@@ -203,7 +208,9 @@ def _injectivity_witness(
     images: Mapping[str, str], symbols: Iterable[str]
 ) -> tuple[str, str] | None:
     """BFS over dangling suffixes; returns a shortest-total-length witness
-    pair of distinct source words with equal images, or None if injective.
+    pair of distinct source words with equal images that start with
+    different symbols, else (c, cc) for the first erased c, or None if
+    injective.
 
     A state (s, ahead, behind) means images(ahead) == images(behind) + s and
     the words ahead/behind start with different symbols.  Appending a symbol
@@ -249,6 +256,11 @@ def _injectivity_witness(
                         queue.append((state, behind + (c,), ahead))
         if completions:
             return min((min(u, v), max(u, v)) for u, v in completions)
+    # No pair starts with different symbols: a one-symbol source collides
+    # only through an erased image, as phi(c) = phi(cc).
+    for c in symbols:
+        if not images[c]:
+            return c, c + c
     return None
 
 

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from morphlab import Morphism, word
 
@@ -29,3 +30,14 @@ def small_injective_morphisms():
 @pytest.fixture(scope="session")
 def small_words():
     return binary_words(6)
+
+
+@st.composite
+def any_morphism_and_word(draw):
+    """2-4 source symbols, images of length 1..5 over {a, b, c}, injective
+    or not, and a nonempty source word of length <= 8."""
+    source = "abcd"[: draw(st.integers(2, 4))]
+    image = st.text(alphabet="abc", min_size=1, max_size=5)
+    phi = Morphism.from_map({c: draw(image) for c in source})
+    u = draw(st.text(alphabet=source, min_size=1, max_size=8))
+    return phi, word(u)

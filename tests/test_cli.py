@@ -67,6 +67,14 @@ class TestCheckRecognizable:
         assert code == 0
         assert out.strip() == "RECOGNIZABLE"
 
+    def test_erasing_one_symbol_morphism_is_rejected(self, capsys):
+        # phi(a) = phi(aa) = empty, so the morphism is not injective
+        code, out, err = run(capsys, "check-recognizable", "--morphism", "a->.",
+                             "--word", "a")
+        assert code == 2
+        assert out == ""
+        assert "injective" in err
+
 
 class TestApplyOccGen:
     def test_apply_iterations(self, capsys):

@@ -38,6 +38,8 @@ from morphlab.interference import (
     affix_donor,
 )
 
+from conftest import any_morphism_and_word
+
 FIB = Morphism.parse("a->ab;b->a")
 TM = Morphism.parse("a->ab;b->ba")
 
@@ -249,17 +251,6 @@ def reference_decision(phi, u, *, allow_non_injective=False):
         witness = InterferenceWitness(INNER_IMAGE_FACTOR, host=inner.host, offset=inner.offset)
         return InterferenceDecision(False, witness, overridden)
     return InterferenceDecision(True, None, overridden)
-
-
-@st.composite
-def any_morphism_and_word(draw):
-    """2-4 source symbols, images of length 1..5 over {a, b, c}, injective
-    or not, and a nonempty source word of length <= 8."""
-    source = "abcd"[: draw(st.integers(2, 4))]
-    image = st.text(alphabet="abc", min_size=1, max_size=5)
-    phi = Morphism.from_map({c: draw(image) for c in source})
-    u = draw(st.text(alphabet=source, min_size=1, max_size=8))
-    return phi, word(u)
 
 
 class TestWitnessDifferential:

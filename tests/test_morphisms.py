@@ -111,18 +111,35 @@ class TestInjectivity:
         assert sorted((u.text, v.text)) == ["ab", "ba"]
 
     def test_injectivity_agrees_with_brute_force(self):
-        images = ["".join(p) for n in (1, 2) for p in product("ab", repeat=n)]
-        for ia, ib in product(images, repeat=2):
-            m = Morphism.from_map({"a": ia, "b": ib})
+        images = ["".join(p) for n in (0, 1, 2) for p in product("ab", repeat=n)]
+        maps = [{"a": ia} for ia in images]
+        maps += [{"a": ia, "b": ib} for ia, ib in product(images, repeat=2)]
+        for images_of in maps:
+            m = Morphism.from_map(images_of)
+            source = "".join(images_of)
+            words = [
+                "".join(p) for n in range(1, 5) for p in product(source, repeat=n)
+            ]
             collide = any(
                 m.apply_text(u) == m.apply_text(v)
-                for lu in range(1, 5)
-                for u in map("".join, product("ab", repeat=lu))
-                for lv in range(1, 5)
-                for v in map("".join, product("ab", repeat=lv))
+                for u in words
+                for v in words
                 if u != v
             )
             assert m.is_injective == (not collide), m.format()
+            if collide:
+                u, v = m.injectivity_witness
+                assert u != v and m.apply(u) == m.apply(v), m.format()
+
+    @pytest.mark.parametrize("spec, pair", [
+        ("a->.", ("a", "aa")),
+        ("a->.;b->.", ("a", "b")),
+        # (a, aa) is as short, but the search pairs different first symbols
+        ("a->.;b->b", ("ab", "b")),
+    ])
+    def test_witnesses_with_erased_images(self, spec, pair):
+        u, v = Morphism.parse(spec).injectivity_witness
+        assert (u.text, v.text) == pair
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=12))

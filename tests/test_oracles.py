@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import assume, given, settings
 
+from morphlab import enumeration
 from morphlab import (
     BudgetExceededError,
     EnumerationBudget,
@@ -12,8 +14,11 @@ from morphlab import (
     is_recognizable_on,
     word,
 )
+from morphlab.enumeration import RecognizabilityDecision
 from morphlab.errors import NonInjectiveMorphismError
-from morphlab.words import rotations
+from morphlab.words import Word, rotations
+
+from conftest import any_morphism_and_word
 
 FIB = Morphism.parse("a->ab;b->a")
 TM = Morphism.parse("a->ab;b->ba")
@@ -109,6 +114,14 @@ class TestCircularFactorizations:
         }
         assert counts["baba"] == 2
 
+    def test_count_rejects_empty_word(self):
+        message = "circular factorizations are defined for nonempty words"
+        with pytest.raises(ValueError, match=message):
+            count_circular_factorizations(FIB, "")
+
+    def test_every_rotation_has_the_same_count(self, rotation_sweep):
+        assert rotation_sweep["uneven"] == []
+
 
 class TestRecognizability:
     def test_if_examples_recognizable(self):
@@ -122,9 +135,8 @@ class TestRecognizability:
         decision = is_recognizable_on(TM, word("aa"))
         assert not decision
         assert decision.factorization_count == 2
-        assert decision.offending_rotation.text in {
-            r.text for r in rotations(TM.apply(word("aa")))
-        }
+        # every rotation has the same count, so phi(u) itself is reported
+        assert decision.offending_rotation == TM.apply(word("aa"))
 
     def test_rejects_non_injective(self):
         with pytest.raises(NonInjectiveMorphismError):
@@ -133,3 +145,65 @@ class TestRecognizability:
     def test_rejects_empty_word(self):
         with pytest.raises(ValueError):
             is_recognizable_on(FIB, word(""))
+
+
+def all_rotations_decision(phi, u, count=count_circular_factorizations):
+    """The first rotation of phi(u), in shift order, whose circular
+    factorization count is not 1: the decision by definition, kept as the
+    oracle for the one-count decision."""
+    text = phi.apply_text(u.text)
+    for i in range(len(text)):
+        rot = text[i:] + text[:i]
+        rot_count = count(phi, rot)
+        if rot_count != 1:
+            return RecognizabilityDecision(False, Word(rot, phi.target), rot_count)
+    return RecognizabilityDecision(True)
+
+
+@pytest.fixture(scope="module")
+def rotation_sweep(small_injective_morphisms, small_words):
+    """Every rotation of phi(u) counted once over the binary sweep: the
+    instances whose rotations have different counts, and those where the
+    one-count decision differs from the all-rotations loop."""
+    uneven, disagree = [], []
+    for phi in small_injective_morphisms:
+        for u in small_words:
+            text = phi.apply_text(u.text)
+            counts = {
+                rot: count_circular_factorizations(phi, rot)
+                for rot in (text[i:] + text[:i] for i in range(len(text)))
+            }
+            if len(set(counts.values())) != 1:
+                uneven.append((phi.format(), u.text, counts))
+            expected = all_rotations_decision(phi, u, lambda _phi, rot: counts[rot])
+            if is_recognizable_on(phi, u) != expected:
+                disagree.append((phi.format(), u.text, expected))
+    return {"uneven": uneven, "disagree": disagree}
+
+
+class TestRecognizabilityOracle:
+    """One count decides recognizability exactly as the all-rotations loop."""
+
+    def test_agrees_with_all_rotations_on_the_sweep(self, rotation_sweep):
+        assert rotation_sweep["disagree"] == []
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(any_morphism_and_word())
+    def test_agrees_with_all_rotations_on_ternary_images(self, case):
+        phi, u = case
+        assume(phi.is_injective)
+        assert is_recognizable_on(phi, u) == all_rotations_decision(phi, u)
+
+    def test_one_count_per_decision(self, monkeypatch):
+        calls = []
+        count = enumeration.count_circular_factorizations
+
+        def counting(phi, w):
+            calls.append(str(w))
+            return count(phi, w)
+
+        monkeypatch.setattr(enumeration, "count_circular_factorizations", counting)
+        for phi, u in ((FIB, word("abaaba")), (TM, word("aa")), (TM, word("abbab"))):
+            calls.clear()
+            is_recognizable_on(phi, u)
+            assert calls == [phi.apply_text(u.text)]
