@@ -25,7 +25,6 @@ from .morphisms import Morphism, parse_morphism
 from .interference import (
     InterferenceDecision,
     InterferenceWitness,
-    barrier_certificate,
     factorizable,
     is_inner_image_factor,
     is_interference_free_on,

@@ -17,6 +17,10 @@ takes O(sum of |img|^2) time and memory once per morphism; building
 order of time.  So :func:`p_pref_lengths` and :func:`p_suf_lengths` need
 only the two ends of w.  They serve the interference decision, which never
 builds w, ``interference.factorizable`` and the ``scan-debug`` command.
+Above ``morphisms.AFFIX_BUDGET`` characters the sets are refused with
+``BudgetExceededError`` before they are built.  A decision reads them
+before ``image_ends``, so one image of 10^5 symbols raises at once instead
+of asking for about 10 GB.
 
 The module keeps its historical name because the benchmark in
 ``perfbench/`` reads it as ``morphlab.aho_corasick``; no automaton is built

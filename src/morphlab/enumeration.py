@@ -161,7 +161,7 @@ def enumerate_interfered_factorizations(
                     InterferenceWitness(
                         INTERFERED_FACTORIZATION,
                         x=x,
-                        y_symbols=y_symbols,
+                        y="".join(y_symbols),
                         z=z,
                         donor_x=affix_donor(phi, x, suffix=True),
                         donor_z=affix_donor(phi, z, suffix=False),

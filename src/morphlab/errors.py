@@ -23,4 +23,5 @@ class ErasingImageError(MorphlabError, ValueError):
 
 
 class BudgetExceededError(MorphlabError, RuntimeError):
-    """A brute-force enumeration outgrew its configured budget."""
+    """A computation outgrew its budget: a brute-force enumeration, or the
+    proper image affix sets of a morphism with long images."""

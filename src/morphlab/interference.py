@@ -76,12 +76,15 @@ that head.
 A call reaches at most |u| + 1 states, each of O(max|img|) size, so the
 state memory is O(|u| max|img|) in the worst case; the classic inputs of
 the benchmark reach three or four.  A memo hit is one C-level dict lookup,
-so the decision runs about |u| / ``_SLICE`` slice lookups (each hashes its
-slice); per distinct (state, slice) pair, ``_SLICE`` / ``_SUB`` sub-slice
-lookups if its first sub-slice is stored, else one stored sub-slice and
-``_SLICE`` symbol lookups; ``_SUB`` symbol lookups per distinct (state,
-sub-slice) pair; and O(k max|img|) Python work per distinct (state,
-symbol) pair, for a morphism with k images.  On a word built by a morphism
+and the keys are cut in C as well: one precompiled regular expression's
+``findall`` cuts u into its slices, another cuts a missed slice into its
+sub-slices (with ``re.S``, so that "." matches every symbol, a newline
+included).  So the decision runs about |u| / ``_SLICE`` slice lookups
+(each hashes its slice); per distinct (state, slice) pair, ``_SLICE`` /
+``_SUB`` sub-slice lookups if its first sub-slice is stored, else one
+stored sub-slice and ``_SLICE`` symbol lookups; ``_SUB`` symbol lookups
+per distinct (state, sub-slice) pair; and O(k max|img|) Python work per
+distinct (state, symbol) pair, for a morphism with k images.  On a word built by a morphism
 the slices repeat (F_n has at most ``_SLICE`` + 1 distinct factors of that
 length) and the sub-slices more: in the 16 decisions of the benchmark's
 ``classic-if`` workload 1,352 of 13,568 slice lookups miss, 88% of the
@@ -94,6 +97,12 @@ sub-slice and two string copies.  A decision on such a word of 10^4 or 10^5
 symbols takes about 8-11% longer than when each missed slice is composed
 from its symbols (2-core machine, in-process paired medians); composing
 every missed slice from its sub-slices made it take about twice as long.
+Cut by generator expressions of string slices, the 13,568 slices and the
+sub-slices of a ``classic-if`` pass cost more than the memo hits they fed.
+Cutting them in C, with the witness below kept as a string, made the 16
+decisions of that workload 1.44 times as fast (median of 300 interleaved
+in-process rounds, 2-core machine), and decisions on random binary and
+ternary words of 10^4 and 10^5 symbols 2-6% faster.
 
 **The witness.**  The run keeps the state after each slice; the state
 after any other prefix of u is rebuilt from the state at the start of its
@@ -117,12 +126,21 @@ rule picks that occurrence at every one of these cuts.  With
 ``allow_non_injective=True`` on a non-injective phi the backtrack goes step
 by step.
 
+The witness keeps y as one string of source symbols: the backtrack joins
+its chunks once, and :attr:`InterferenceWitness.y_symbols` builds the tuple
+of one-symbol strings only when it is read.  On a long NOT-IF word that
+tuple cost as much as the rest of the decision.  F_25 (75,024 symbols of y)
+is now decided in 1.06 ms, against 2.02 ms with the tuple and the slices
+cut in Python (best of 40), and the decision's tracemalloc peak fell from
+711 KB to 122 KB.
+
 :func:`factorizable` reports the table C itself, so it runs the
 text-level DP over the positions of w (:func:`_forward_dp`).
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
@@ -137,6 +155,10 @@ from .words import Word
 _INF = 1 << 60
 _SLICE = 128  # symbols of u per memoized slice transition (see _run_automaton)
 _SUB = 16  # symbols per memoized sub-slice a slice is composed from (see _State)
+# cut a text into pieces of at most _SLICE (_SUB) symbols in C; re.S lets "."
+# match every symbol, "\n" included
+_slices = re.compile(".{1,%d}" % _SLICE, re.S).findall
+_sub_slices = re.compile(".{1,%d}" % _SUB, re.S).findall
 
 INTERFERED_FACTORIZATION = "interfered_factorization"
 INNER_IMAGE_FACTOR = "inner_image_factor"
@@ -146,36 +168,43 @@ INNER_IMAGE_FACTOR = "inner_image_factor"
 class InterferenceWitness:
     """Evidence that phi is not interference-free on a word.
 
-    For the factorization kind, ``x + phi(y_symbols) + z`` reassembles the
-    image of the word; ``donor_x`` / ``donor_z`` name source symbols whose
-    images contribute x and z.  For the inner kind, the image of the word
-    occurs inside ``phi(host)`` starting at 1-based ``offset >= 2`` and
-    ending strictly before the image's last position.
+    For the factorization kind, ``x + phi(y) + z`` reassembles the image of
+    the word, where ``y`` is a string of source symbols; ``donor_x`` /
+    ``donor_z`` name source symbols whose images contribute x and z.  For
+    the inner kind, the image of the word occurs inside ``phi(host)``
+    starting at 1-based ``offset >= 2`` and ending strictly before the
+    image's last position.  Equality and ``repr`` read ``y`` as one string.
     """
 
     kind: str
     x: str = ""
-    y_symbols: tuple[str, ...] = ()
+    y: str = ""
     z: str = ""
     donor_x: str | None = None
     donor_z: str | None = None
     host: str | None = None
     offset: int | None = None
 
+    @property
+    def y_symbols(self) -> tuple[str, ...]:
+        """The symbols of ``y``, as a tuple built on each read."""
+        return tuple(self.y)
+
     def describe(self) -> str:
         if self.kind == INNER_IMAGE_FACTOR:
             return f"inner host={self.host} offset={self.offset}"
-        y = "".join(self.y_symbols)
-        return f"x={self.x or '.'} y={y or '.'} z={self.z or '.'}"
+        return f"x={self.x or '.'} y={self.y or '.'} z={self.z or '.'}"
 
 
 @dataclass(frozen=True)
 class FactorizableResult:
     admits: bool
     x: str = ""
-    y_symbols: tuple[str, ...] = ()
+    y: str = ""  # source symbols, as in InterferenceWitness
     z: str = ""
     table: tuple[int, ...] = ()  # C[0..n]: C[j] = 1 iff w[1..j] = x . y
+
+    y_symbols = InterferenceWitness.y_symbols
 
     def __bool__(self) -> bool:
         return self.admits
@@ -255,14 +284,14 @@ def _forward_dp(text, images, seeds, accepts):
 
 
 def _backtrack(text, j, parent):
-    """Recover (x, y symbol sequence, z) for the acceptance at j."""
+    """Recover (x, y, z) for the acceptance at j; y is a string of source
+    symbols."""
     pos = j - 1
     syms: list[str] = []
     while parent[pos] is not None:
         pos, sym = parent[pos]
         syms.append(sym)
-    syms.reverse()
-    return text[:pos], tuple(syms), text[j - 1:]
+    return text[:pos], "".join(reversed(syms)), text[j - 1:]
 
 
 def affix_donor(phi: Morphism, part: str, *, suffix: bool) -> str | None:
@@ -288,8 +317,8 @@ def factorizable(phi: Morphism, w: Word | str) -> FactorizableResult:
     table = tuple(1 if v < _INF else 0 for v in minseed)
     if j is None:
         return FactorizableResult(False, table=table)
-    x, y_symbols, z = _backtrack(text, j, parent)
-    return FactorizableResult(True, x=x, y_symbols=y_symbols, z=z, table=table)
+    x, y, z = _backtrack(text, j, parent)
+    return FactorizableResult(True, x=x, y=y, z=z, table=table)
 
 
 def is_inner_image_factor(phi: Morphism, w: Word | str) -> InnerFactorResult:
@@ -351,7 +380,7 @@ class _State(dict):
                 nxt = self[head] = reduce(getitem, head, self)
                 rest = key[_SUB:]
             else:
-                rest = (key[i : i + _SUB] for i in range(_SUB, len(key), _SUB))
+                rest = _sub_slices(key, _SUB)
             nxt = reduce(getitem, rest, nxt)
         self[key] = nxt
         return nxt
@@ -457,15 +486,14 @@ def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
     seeds = sorted(p_pref)
     key = "", (0,) * base + (1,), tuple(zip(seeds, seeds))  # seed 0 at position 0
     state = states[key] = _State(*key, advance)
-    n = len(text)
-    if n <= _SLICE:
+    if len(text) <= _SLICE:
         return _Run(text, 1, list(accumulate(text, getitem, initial=state)))
-    slices = (text[i : i + _SLICE] for i in range(0, n, _SLICE))
-    return _Run(text, _SLICE, list(accumulate(slices, getitem, initial=state)))
+    return _Run(text, _SLICE, list(accumulate(_slices(text), getitem, initial=state)))
 
 
-def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> tuple[str, ...]:
-    """The y symbols of the chain from ``seed`` to position |phi(u)| - before_end.
+def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
+    """The y of the chain from ``seed`` to position |phi(u)| - before_end,
+    as one string of source symbols.
 
     Each step takes the first predecessor in start order (the longest image
     first, then source order) that the seed reaches.  That is the rule of
@@ -522,7 +550,7 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> tuple[s
                 break
         chunks.append(c)
         q -= end - start
-    return tuple("".join(reversed(chunks)))
+    return "".join(reversed(chunks))
 
 
 def is_interference_free_on(
@@ -555,12 +583,12 @@ def is_interference_free_on(
     if best is not None:
         seed, length = best
         x, z = head[:seed], tail[len(tail) - length:]
-        y_symbols = _trace_back(phi, run, length, seed)
+        y = _trace_back(phi, run, length, seed)
     elif window[-1] > 1:
         # z empty: x nonempty and phi(u) = x . y; the longest x is reported
         seed = window[-1].bit_length() - 1
         x, z = head[:seed], ""
-        y_symbols = _trace_back(phi, run, 0, seed)
+        y = _trace_back(phi, run, 0, seed)
     else:
         # the inner kind needs |phi(u)| <= max|img| - 2: then phi(u) == head,
         # while a longer u has |head| >= max|img|
@@ -574,7 +602,7 @@ def is_interference_free_on(
     witness = InterferenceWitness(
         INTERFERED_FACTORIZATION,
         x=x,
-        y_symbols=y_symbols,
+        y=y,
         z=z,
         donor_x=affix_donor(phi, x, suffix=True),
         donor_z=affix_donor(phi, z, suffix=False),
@@ -592,32 +620,3 @@ def is_strongly_interference_free(phi: Morphism) -> StrongInterferenceDecision:
             return StrongInterferenceDecision(False, c, decision.witness)
     return StrongInterferenceDecision(True)
 
-
-def barrier_certificate(
-    phi: Morphism, u: Word, *, max_length: int = 8
-) -> tuple[Word, Word] | None:
-    """Search for a prefix/suffix pair of u, each interference-free on its
-    own, certifying interference-freeness of u without the full decision.
-
-    Shortest candidates are tried first, capped at ``max_length``.  A result
-    is a sufficient certificate; None is inconclusive, not negative.
-    """
-    _require_injective(phi, False)
-    n = len(u)
-    if n == 0:
-        raise ValueError("barrier certificate is defined for nonempty words")
-
-    def first_if(candidates):
-        for cand in candidates:
-            if is_interference_free_on(phi, cand):
-                return cand
-        return None
-
-    cap = min(max_length, n)
-    b_l = first_if(u[:k] for k in range(1, cap + 1))
-    b_r = first_if(u[n - k:] for k in range(1, cap + 1))
-    if b_l is not None and b_r is not None and len(b_l) + len(b_r) <= n:
-        return b_l, b_r
-    if n <= max_length and is_interference_free_on(phi, u):
-        return u, u  # degenerate: u certifies itself
-    return None

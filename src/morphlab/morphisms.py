@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import AlphabetMismatchError
+from .errors import AlphabetMismatchError, BudgetExceededError
 from .words import Alphabet, Word
 
 #: Separator conventions of the textual morphism format, e.g. "a->ab;b->a".
@@ -23,6 +23,10 @@ from .words import Alphabet, Word
 _ARROW = "->"
 _SEP = ";"
 _EPSILON = "."
+
+#: Most characters that each proper image affix set may hold,
+#: sum(|img| (|img| - 1) / 2) over the distinct images: about 10 MB of text.
+AFFIX_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,6 @@ class Morphism:
     def image_map(self) -> dict[str, str]:
         return dict(self.images)
 
-    def image(self, c: str) -> Word:
-        return Word(self.image_map[c], self.target)
-
     @cached_property
     def image_texts(self) -> tuple[str, ...]:
         """Distinct image texts, in source-symbol order of first appearance."""
@@ -105,14 +106,26 @@ class Morphism:
         """max|img| over the images."""
         return max(map(len, self.image_texts))
 
+    def _require_affix_budget(self) -> None:
+        """Raise BudgetExceededError, before a proper image affix set is
+        built, when it would hold more than ``AFFIX_BUDGET`` characters."""
+        size = sum(len(img) * (len(img) - 1) // 2 for img in self.image_texts)
+        if size > AFFIX_BUDGET:
+            raise BudgetExceededError(
+                f"the proper image affix sets would hold {size} characters each, "
+                f"above the budget of {AFFIX_BUDGET}"
+            )
+
     @cached_property
     def proper_image_prefixes(self) -> frozenset[str]:
         """Nonempty proper prefixes of images."""
+        self._require_affix_budget()
         return frozenset(img[:k] for img in self.image_texts for k in range(1, len(img)))
 
     @cached_property
     def proper_image_suffixes(self) -> frozenset[str]:
         """Nonempty proper suffixes of images."""
+        self._require_affix_budget()
         return frozenset(img[k:] for img in self.image_texts for k in range(1, len(img)))
 
     @cached_property

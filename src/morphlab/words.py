@@ -109,10 +109,6 @@ class Word:
             raise AlphabetMismatchError("cannot concatenate words over different alphabets")
         return Word(self.text + other.text, self.alphabet)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.text
-
 
 def word(text: str, alphabet: Alphabet | None = None) -> Word:
     """Convenience constructor.

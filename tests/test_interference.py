@@ -1,5 +1,8 @@
 import random
-from itertools import accumulate
+import sys
+import tracemalloc
+from dataclasses import fields
+from itertools import accumulate, product
 from operator import getitem
 
 import pytest
@@ -11,7 +14,6 @@ from morphlab import (
     NAMED_MORPHISMS,
     Morphism,
     Word,
-    barrier_certificate,
     brute_force_is_interference_free,
     count_image_factorizations,
     enumerate_interfered_factorizations,
@@ -31,6 +33,7 @@ from morphlab.interference import (
     _SUB,
     INNER_IMAGE_FACTOR,
     INTERFERED_FACTORIZATION,
+    FactorizableResult,
     InterferenceDecision,
     InterferenceWitness,
     _backtrack,
@@ -236,11 +239,11 @@ def reference_decision(phi, u, *, allow_non_injective=False):
         seeds = {i: -i for i in p_pref}
         j, _, parent = _forward_dp(text, phi.images, seeds, (n + 1,))
     if j is not None:
-        x, y_symbols, z = _backtrack(text, j, parent)
+        x, y, z = _backtrack(text, j, parent)
         witness = InterferenceWitness(
             INTERFERED_FACTORIZATION,
             x=x,
-            y_symbols=y_symbols,
+            y=y,
             z=z,
             donor_x=affix_donor(phi, x, suffix=True),
             donor_z=affix_donor(phi, z, suffix=False),
@@ -358,6 +361,47 @@ class TestBlockRunDifferential:
         w = decision.witness
         assert (w.x, w.z) == ("a", "")
         assert w.y_symbols == ("b",) * m + ("a",) + ("c",) * 299
+
+
+# symbols that a regular expression's "." skips without re.S, or that take
+# more than one UTF-16 unit
+_EDGE = ("\n", "\U0001F600")
+
+
+def _edge_morphisms():
+    """The injective morphisms of {newline, U+1F600} into itself with
+    images of length 1..3."""
+    images = ["".join(p) for n in (1, 2, 3) for p in product(_EDGE, repeat=n)]
+    phis = (Morphism.from_map(dict(zip(_EDGE, pair))) for pair in product(images, repeat=2))
+    return [phi for phi in phis if phi.is_injective]
+
+
+@pytest.mark.parametrize("n", [
+    _SLICE - 1, _SLICE, _SLICE + 1, _SLICE + _SUB - 1, _SLICE + _SUB, _SLICE + _SUB + 1,
+    2 * _SLICE + 1, 600, 2000])
+def test_slices_cut_every_symbol(n):
+    # every decision field equals the DP over the positions of phi(u), on a
+    # random word and on a word built by phi, whose slices repeat; when z is
+    # nonempty the witness is the one factorizable finds on phi(u)
+    rng = random.Random(n)
+    kinds = set()
+    for phi in _edge_morphisms():
+        for text in ("".join(rng.choices(_EDGE, k=n)), _iterate_prefix(phi, n)):
+            u = Word(text, phi.source)
+            got = is_interference_free_on(phi, u)
+            assert got == reference_decision(phi, u), (phi.format(), text)
+            image = phi.apply_text(text)
+            w = got.witness
+            kinds.add("if" if w is None else (w.kind, bool(w.z)))
+            fact = factorizable(phi, image)
+            if w is not None and w.kind == INTERFERED_FACTORIZATION:
+                assert w.x + phi.apply_text(w.y) + w.z == image
+                if w.z:
+                    assert (fact.x, fact.y, fact.z) == (w.x, w.y, w.z)
+                    continue
+            assert not fact
+    assert kinds == {"if", (INTERFERED_FACTORIZATION, True),
+                     (INTERFERED_FACTORIZATION, False)}, kinds
 
 
 def _same_state_cases():
@@ -492,6 +536,34 @@ class TestPinnedWitnesses:
         assert w.donor_x == donor_x
         assert w.donor_z == donor_z
 
+    def test_y_is_one_string(self):
+        # y is a field holding one string of source symbols; y_symbols is a
+        # property that builds the tuple, so equality and repr read the string
+        w = is_interference_free_on(FIB, word("abaab")).witness
+        assert type(w.y) is str and w.y == "abaa"
+        assert w.y_symbols == tuple(w.y) == ("a", "b", "a", "a")
+        assert w == InterferenceWitness(
+            INTERFERED_FACTORIZATION, x="", y="abaa", z="a", donor_z="a")
+        assert "y='abaa'" in repr(w) and "y_symbols" not in repr(w)
+        for cls in (InterferenceWitness, FactorizableResult):
+            assert [f.name for f in fields(cls) if f.name.startswith("y")] == ["y"]
+        result = factorizable(FIB, "aba")
+        assert type(result.y) is str and result.y_symbols == tuple(result.y) == ("a",)
+
+    def test_not_if_witness_is_one_string(self):
+        # the NOT-IF witness on F_25 holds y, 75,024 symbols, as one string:
+        # the decision peaks below the size of a tuple of that many symbols
+        u = fibonacci_word(25)
+        is_interference_free_on(FIBONACCI, u)  # fills the morphism's caches
+        tracemalloc.start()
+        try:
+            w = is_interference_free_on(FIBONACCI, u).witness
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(w.y) is str and len(w.y) == len(u) - 1
+        assert peak < sys.getsizeof((None,) * (len(u) - 1)), peak
+
     def test_non_injective_override_keeps_x(self):
         phi = Morphism.parse("a->b;b->c;c->ccc")
         decision = is_interference_free_on(phi, word("cbcaaa"), allow_non_injective=True)
@@ -520,30 +592,3 @@ class TestStrong:
         phi = Morphism.parse("a->aab;b->bba")
         for c in "ab":
             assert is_interference_free_on(phi, word(c))
-
-
-class TestBarrierCertificate:
-    def test_certificate_is_sound(self, small_injective_morphisms, small_words):
-        for phi in small_injective_morphisms[::53]:
-            for u in small_words[::7]:
-                cert = barrier_certificate(phi, u)
-                if cert is None:
-                    continue
-                b_l, b_r = cert
-                assert u.text.startswith(b_l.text)
-                assert u.text.endswith(b_r.text)
-                assert is_interference_free_on(phi, b_l)
-                assert is_interference_free_on(phi, b_r)
-                # soundness: a certificate implies the full decision
-                assert is_interference_free_on(phi, u), (phi.format(), u.text)
-
-    def test_thue_morse_order_four(self):
-        cert = barrier_certificate(TM, word("abbabaab"))
-        assert cert is not None
-        b_l, b_r = cert
-        assert is_interference_free_on(TM, b_l)
-        assert is_interference_free_on(TM, b_r)
-
-    def test_rejects_empty_word(self):
-        with pytest.raises(ValueError):
-            barrier_certificate(FIB, word(""))

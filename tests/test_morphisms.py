@@ -1,10 +1,18 @@
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from morphlab import AlphabetMismatchError, Morphism, word
+from morphlab import (
+    AlphabetMismatchError,
+    BudgetExceededError,
+    Morphism,
+    is_interference_free_on,
+    word,
+)
+from morphlab import morphisms
 from morphlab.morphisms import parse_morphism
 
 FIB = Morphism.parse("a->ab;b->a")
@@ -74,6 +82,34 @@ class TestPredicates:
         m = Morphism.parse("a->abc;b->ac;c->b")
         assert m.proper_image_prefixes == {"a", "ab"}
         assert m.proper_image_suffixes == {"c", "bc"}
+
+    def test_affix_sets_refused_above_the_budget(self, monkeypatch):
+        # the sets of "abc" hold 1 + 2 characters each, those of "abcd" 6
+        monkeypatch.setattr(morphisms, "AFFIX_BUDGET", 3)
+        assert Morphism.parse("a->abc;b->b").proper_image_prefixes == {"a", "ab"}
+        m = Morphism.parse("a->abcd;b->b")
+        for name in ("proper_image_prefixes", "proper_image_suffixes"):
+            with pytest.raises(BudgetExceededError, match="6 characters"):
+                getattr(m, name)
+
+    def test_long_image_refused_before_its_affixes_are_built(self):
+        # one image of 10^5 symbols: its affix sets would hold about 5 * 10^9
+        # characters each, so the decision raises before building either
+        m = Morphism.from_map({"a": "ab" * 50_000, "b": "b"})
+        u = word("ab")
+        tracemalloc.start()
+        try:
+            for name in ("proper_image_prefixes", "proper_image_suffixes"):
+                with pytest.raises(BudgetExceededError):
+                    getattr(m, name)
+            with pytest.raises(BudgetExceededError):
+                is_interference_free_on(m, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        assert "proper_image_prefixes" not in vars(m)
+        assert "proper_image_suffixes" not in vars(m)
 
     def test_image_set_totals(self):
         m = Morphism.parse("a->ab;b->ab")
