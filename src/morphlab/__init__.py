@@ -18,7 +18,6 @@ from .words import (
     occ_count,
     occurrences,
     reverse,
-    rotations,
     word,
 )
 from .morphisms import Morphism, parse_morphism

@@ -181,20 +181,11 @@ class Morphism:
             text = self.apply_text(text)
         return Word(text, self.target)
 
-    def reversal(self) -> "Morphism":
-        """The morphism mapping each symbol to the reversal of its image."""
-        return Morphism(self.source, self.target, tuple((c, img[::-1]) for c, img in self.images))
-
     # -- structural predicates ------------------------------------------------
 
     @cached_property
     def is_non_erasing(self) -> bool:
         return all(img for _, img in self.images)
-
-    @cached_property
-    def uniform_length(self) -> int | None:
-        lengths = {len(img) for _, img in self.images}
-        return lengths.pop() if len(lengths) == 1 else None
 
     @cached_property
     def injectivity_witness(self) -> tuple[Word, Word] | None:

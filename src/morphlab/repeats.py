@@ -8,8 +8,10 @@ the array l(i) of shortest-unique-substring lengths per start position,
 derived from a suffix array with LCPs; net occurrences are the gaps between
 consecutive MUS occurrences.  The suffix array is built by SA-IS in O(n) time
 and O(n) memory, with recursion depth at most log2 n since each level at
-least halves the length; symbols are ordered by code point.  Naive
-substring-counting versions serve as oracles at small scale.
+least halves the length; symbols are ordered by code point.  The LCPs come
+from Kasai's algorithm, whose comparisons end at a sentinel placed after the
+last symbol, so they need no bounds tests.  Naive substring-counting versions
+serve as oracles at small scale.
 
 ``compute_mus`` and ``compute_net_occurrences`` both read the MUS intervals
 of ``_mus_intervals``, which keeps the last text's intervals in a one-entry
@@ -17,6 +19,10 @@ cache keyed by the text.  So asking for the MUSs and then the net
 occurrences of one word sorts its suffixes once.  The entry holds only the
 tuple of intervals (the suffix array, the LCPs and l(i) are dropped), and one
 entry is enough for that pairing while retaining nothing of earlier words.
+
+The results are named tuples.  A ``MusOccurrence`` holds its interval and
+the word that was searched, and slices its ``content`` from that word only
+when it is read; a ``NetOccurrence`` is its interval alone.
 
 All reported intervals are 1-based and inclusive.
 """
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice
 from operator import gt
+from typing import NamedTuple
 
 from .errors import NonInjectiveMorphismError
 from .interference import is_interference_free_on
@@ -39,19 +46,27 @@ from . import classic
 _INF = 1 << 30
 
 
-@dataclass(frozen=True, order=True)
-class MusOccurrence:
+class MusOccurrence(NamedTuple):
+    """The MUS occurrence ``word[start - 1 : end]``.  ``word`` is the word
+    that was searched; ``content`` slices it each time it is read."""
+
     start: int
     end: int
-    content: Word
+    word: Word
+
+    @property
+    def content(self) -> Word:
+        return self.word[self.start - 1 : self.end]
 
     @property
     def interval(self) -> tuple[int, int]:
         return self.start, self.end
 
+    def __repr__(self) -> str:
+        return f"MusOccurrence(start={self.start}, end={self.end}, content={self.content.text!r})"
 
-@dataclass(frozen=True, order=True)
-class NetOccurrence:
+
+class NetOccurrence(NamedTuple):
     start: int
     end: int
 
@@ -159,19 +174,24 @@ def _sais(s: list[int], upper: int) -> list[int]:
 
 
 def lcp_array(text: str, sa: list[int]) -> list[int]:
-    """Kasai's algorithm: lcp[k] = LCP of suffixes sa[k-1] and sa[k]."""
+    """Kasai's algorithm: lcp[k] = LCP of suffixes sa[k-1] and sa[k].
+
+    The symbols are compared as a list ending in ``None``, which equals no
+    symbol, so a comparison stops at the end of the shorter suffix without a
+    bounds test (two distinct suffixes never reach the end together)."""
     n = len(text)
     rank = [0] * n
-    for idx, i in enumerate(sa):
-        rank[i] = idx
+    for r, i in enumerate(sa):
+        rank[i] = r
+    s = [*text, None]
     lcp = [0] * n
     h = 0
-    for i in range(n):
-        if rank[i]:
-            j = sa[rank[i] - 1]
-            while i + h < n and j + h < n and text[i + h] == text[j + h]:
+    for i, r in enumerate(rank):
+        if r:
+            j = sa[r - 1]
+            while s[i + h] == s[j + h]:
                 h += 1
-            lcp[rank[i]] = h
+            lcp[r] = h
             if h:
                 h -= 1
         else:
@@ -205,29 +225,26 @@ def _mus_intervals(text: str) -> tuple[tuple[int, int], ...]:
     only: ``compute_mus`` followed by ``compute_net_occurrences`` on the same
     word hits it, and a second entry would serve no call pattern of the
     library while keeping an earlier word's text and intervals alive."""
-    n = len(text)
     l = shortest_unique_lengths(text)
-    out = []
-    for i in range(n):
-        if l[i] == _INF:
-            continue
-        # right trim (length l[i]-1, start i+1) must be repeated
-        if l[i] == 1 or i + 1 >= n or l[i + 1] > l[i] - 1:
-            out.append((i + 1, i + l[i]))
-    return tuple(out)
+    # i starts a MUS iff l[i] is finite and its right trim, at i + 1, is
+    # repeated: l[i + 1] >= l[i], with l[n] = INF.  (l[i + 1] >= l[i] - 1
+    # always holds, so a length-1 MUS passes the same test.)
+    l.append(_INF)
+    return tuple(
+        (start, start + a - 1)
+        for start, a, b in zip(range(1, len(text) + 1), l, islice(l, 1, None))
+        if a <= b and a < _INF
+    )
 
 
 def compute_mus(w: Word) -> list[MusOccurrence]:
-    """All MUS occurrences of w, sorted by start position, with contents over
-    w's alphabet.  The intervals come from ``_mus_intervals``, so a following
-    ``compute_net_occurrences(w)`` does not sort w's suffixes again."""
+    """All MUS occurrences of w, sorted by start position; each holds w and
+    slices its content when read.  The intervals come from ``_mus_intervals``,
+    so a following ``compute_net_occurrences(w)`` does not sort w's suffixes
+    again."""
     if not w.text:
         raise ValueError("MUSs are defined for nonempty words")
-    text, alphabet = w.text, w.alphabet
-    return [
-        MusOccurrence(i, j, Word._trusted(text[i - 1 : j], alphabet))
-        for i, j in _mus_intervals(text)
-    ]
+    return [MusOccurrence(i, j, w) for i, j in _mus_intervals(w.text)]
 
 
 def compute_net_occurrences(w: Word) -> list[NetOccurrence]:
@@ -281,7 +298,7 @@ def naive_mus(w: Word) -> list[MusOccurrence]:
         for j in range(i, n):
             s = text[i : j + 1]
             if counts[s] == 1 and repeated(s[1:]) and repeated(s[:-1]):
-                out.append(MusOccurrence(i + 1, j + 1, w[i : j + 1]))
+                out.append(MusOccurrence(i + 1, j + 1, w))
     out.sort()
     return out
 

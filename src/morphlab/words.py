@@ -33,13 +33,6 @@ class Alphabet:
     def _symbol_set(self) -> frozenset[str]:
         return frozenset(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        """Dense index of ``symbol`` in 0..size-1."""
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise KeyError(f"symbol {symbol!r} not in alphabet {self.symbols!r}") from None
-
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._symbol_set
 
@@ -199,14 +192,6 @@ def naive_occurrences(u: Word, w: Word) -> OccurrenceSet:
         i + 1 for i in range(len(wt) - m + 1) if wt[i : i + m] == ut
     )
     return OccurrenceSet(m, positions)
-
-
-def rotations(w: Word) -> list[Word]:
-    """The ``|w|`` rotations of ``w`` as a multiset (list, in shift order)."""
-    if len(w) == 0:
-        raise ValueError("rotations of the empty word are undefined")
-    t = w.text
-    return [Word(t[i:] + t[:i], w.alphabet) for i in range(len(t))]
 
 
 def flip(w: Word) -> Word:

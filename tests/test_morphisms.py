@@ -66,16 +66,8 @@ class TestApplication:
         with pytest.raises(ValueError):
             m.iterate(word("a"), 2)
 
-    def test_reversal(self):
-        assert FIB.reversal().image_map == {"a": "ba", "b": "a"}
-        assert FIB.reversal().reversal() == FIB
-
 
 class TestPredicates:
-    def test_uniform_length(self):
-        assert TM.uniform_length == 2
-        assert FIB.uniform_length is None
-
     def test_proper_prefixes_and_suffixes(self):
         assert FIB.proper_image_prefixes == {"a"}
         assert FIB.proper_image_suffixes == {"b"}

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from morphlab import enumeration
 from morphlab import (
@@ -16,12 +17,29 @@ from morphlab import (
 )
 from morphlab.enumeration import RecognizabilityDecision
 from morphlab.errors import NonInjectiveMorphismError
-from morphlab.words import Word, rotations
+from morphlab.words import Word
 
 from conftest import any_morphism_and_word
 
 FIB = Morphism.parse("a->ab;b->a")
 TM = Morphism.parse("a->ab;b->ba")
+
+
+def rotations(w: Word) -> list[Word]:
+    """The ``|w|`` rotations of ``w`` as a multiset (list, in shift order)."""
+    t = w.text
+    return [Word(t[i:] + t[:i], w.alphabet) for i in range(len(t))]
+
+
+class TestRotations:
+    def test_shift_order(self):
+        assert [r.text for r in rotations(word("abb"))] == ["abb", "bba", "bab"]
+
+    @given(st.text(alphabet="ab", min_size=1, max_size=30))
+    def test_rotations_preserve_multiset(self, text):
+        w = word(text)
+        assert sorted("".join(r.text) for r in rotations(w))[0].count("a") == text.count("a")
+        assert len(rotations(w)) == len(text)
 
 
 class TestImageFactorizations:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -28,7 +29,13 @@ from morphlab import (
 from morphlab import repeats
 from morphlab.classic import NAMED_MORPHISMS
 from morphlab.errors import NonInjectiveMorphismError
-from morphlab.repeats import NetOccurrence, lcp_array, shortest_unique_lengths, suffix_array
+from morphlab.repeats import (
+    MusOccurrence,
+    NetOccurrence,
+    lcp_array,
+    shortest_unique_lengths,
+    suffix_array,
+)
 from morphlab.words import occ_count
 
 binary_texts = st.text(alphabet="ab", min_size=1, max_size=60)
@@ -39,6 +46,26 @@ SORT_ALPHABETS = ("a", "ab", "abc", "abcde", "zéa")
 sort_texts = st.sampled_from(SORT_ALPHABETS).flatmap(
     lambda alphabet: st.text(alphabet=alphabet, max_size=300)
 )
+# NUL, newline, a two-byte and a four-byte symbol: a sentinel taken from the
+# symbols would equal one of them; over {a} every suffix is a prefix of a
+# longer one, so every LCP comparison runs to the end of the text
+EDGE_ALPHABETS = ("\0\n\u00e9\U0001F600", "a")
+edge_texts = st.sampled_from(EDGE_ALPHABETS).flatmap(
+    lambda alphabet: st.text(alphabet=alphabet, min_size=1, max_size=60)
+)
+
+
+def lcp_by_definition(text, sa):
+    """lcp[k] from comparing suffixes sa[k - 1] and sa[k] symbol by symbol;
+    lcp[0] = 0."""
+    out = [0]
+    for k in range(1, len(text)):
+        a, b = text[sa[k - 1] :], text[sa[k] :]
+        h = 0
+        while h < min(len(a), len(b)) and a[h] == b[h]:
+            h += 1
+        out.append(h)
+    return out
 
 
 class TestSuffixStructures:
@@ -86,13 +113,23 @@ class TestSuffixStructures:
     @given(binary_texts)
     def test_lcp_matches_definition(self, text):
         sa = suffix_array(text)
-        lcp = lcp_array(text, sa)
-        for k in range(1, len(text)):
-            a, b = text[sa[k - 1] :], text[sa[k] :]
-            expected = 0
-            while expected < min(len(a), len(b)) and a[expected] == b[expected]:
-                expected += 1
-            assert lcp[k] == expected
+        assert lcp_array(text, sa) == lcp_by_definition(text, sa)
+
+    @given(edge_texts)
+    @example("a")
+    @example("a" * 60)
+    @example("\0" * 5 + "\U0001F600\0")
+    def test_lcp_matches_definition_on_edge_alphabets(self, text):
+        sa = suffix_array(text)
+        assert lcp_array(text, sa) == lcp_by_definition(text, sa)
+
+    @given(edge_texts)
+    @example("a" * 60)
+    @example("\n\0\n\0\n")
+    def test_mus_and_net_match_the_oracles_on_edge_alphabets(self, text):
+        w = word(text)
+        assert compute_mus(w) == naive_mus(w)
+        assert compute_net_occurrences(w) == naive_net_occurrences(w)
 
     @given(binary_texts)
     def test_shortest_unique_lengths(self, text):
@@ -228,6 +265,109 @@ class TestMusIntervalCache:
         assert [m.interval for m in binary] == [m.interval for m in ternary]
         assert ternary == naive_mus(Word(text, abc))
         assert len(sorts) == 1
+
+
+@pytest.fixture
+def trusted_words(monkeypatch):
+    """Texts of the words built by ``Word._trusted`` (every slice of a word)."""
+    texts = []
+    original = Word._trusted.__func__
+
+    def counting(cls, text, alphabet):
+        texts.append(text)
+        return original(cls, text, alphabet)
+
+    monkeypatch.setattr(Word, "_trusted", classmethod(counting))
+    return texts
+
+
+class TestResultTypes:
+    """MusOccurrence is the named tuple (start, end, word), whose content is
+    sliced from word when read; NetOccurrence is the named tuple (start, end)."""
+
+    def test_fields(self):
+        w = fibonacci_word(7)
+        m = compute_mus(w)[0]
+        assert MusOccurrence._fields == ("start", "end", "word")
+        assert NetOccurrence._fields == ("start", "end")
+        assert m == (5, 7, w) and m.word is w
+        assert isinstance(MusOccurrence.content, property)
+        assert m.content == Word("bab", BINARY)
+        assert m.interval == (5, 7)
+
+    @given(ternary_texts)
+    def test_content_is_the_slice_over_the_words_alphabet(self, text):
+        w = Word(text, Alphabet(("a", "b", "c")))
+        for m in compute_mus(w) + naive_mus(w):
+            assert m.content == w[m.start - 1 : m.end]
+            assert m.content.alphabet == w.alphabet
+
+    def test_equal_iff_same_interval_in_equal_words(self):
+        abc = Alphabet(("a", "b", "c"))
+        m = MusOccurrence(1, 2, Word("abab", BINARY))
+        assert m == MusOccurrence(1, 2, Word("abab", BINARY))
+        assert hash(m) == hash(MusOccurrence(1, 2, Word("abab", BINARY)))
+        assert m != MusOccurrence(1, 3, Word("abab", BINARY))
+        # the same content in another word, or over another alphabet
+        assert m != MusOccurrence(1, 2, Word("abba", BINARY))
+        assert m != MusOccurrence(1, 2, Word("abab", abc))
+        assert compute_mus(Word("abab", BINARY)) != compute_mus(Word("abab", abc))
+
+    def test_net_occurrence_is_its_interval(self):
+        assert NetOccurrence(1, 4) == (1, 4)
+        assert NetOccurrence(1, 4).interval == (1, 4)
+        assert compute_net_occurrences(fibonacci_word(7)) == [(1, 6), (6, 11), (9, 13)]
+
+    def test_attributes_cannot_be_set(self):
+        m = compute_mus(fibonacci_word(7))[0]
+        o = NetOccurrence(1, 4)
+        for obj, attr in ((m, "start"), (m, "word"), (m, "content"), (m, "extra"),
+                          (o, "end"), (o, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, 1)
+
+    def test_hashable_and_repr_shows_the_content(self):
+        w = fibonacci_word(7)
+        mus = compute_mus(w)
+        net = compute_net_occurrences(w)
+        assert len(set(mus)) == len(mus) and len(set(net)) == len(net)
+        assert repr(mus[1]) == "MusOccurrence(start=8, end=12, content='aabaa')"
+        assert w.text not in repr(mus)
+        assert repr(net[0]) == "NetOccurrence(start=1, end=6)"
+
+    def test_contents_are_built_only_when_read(self, trusted_words):
+        w = Word("".join(random.Random(17).choices("ab", k=10_000)))
+        mus = compute_mus(w)
+        assert len(mus) > 100
+        assert trusted_words == []
+        assert mus[3].content.text == trusted_words[0]
+        assert len(trusted_words) == 1
+
+
+class TestTracedStages:
+    """The benchmark's per-layer trace wraps ``repeats.suffix_array``,
+    ``repeats.lcp_array`` and ``repeats.shortest_unique_lengths`` as module
+    attributes; a refactor that stops calling one of them through its module
+    name would leave that row reading 0."""
+
+    def test_mus_then_net_calls_each_stage_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("suffix_array", "lcp_array", "shortest_unique_lengths"):
+            original = getattr(repeats, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(repeats, name, counting)
+        repeats._mus_intervals.cache_clear()
+        w = Word("".join(random.Random(19).choices("ab", k=200)))
+        try:
+            assert compute_mus(w) == naive_mus(w)
+            assert compute_net_occurrences(w) == naive_net_occurrences(w)
+        finally:
+            repeats._mus_intervals.cache_clear()
+        assert calls == {"suffix_array": 1, "lcp_array": 1, "shortest_unique_lengths": 1}
 
 
 @st.composite

@@ -13,7 +13,6 @@ from morphlab import (
     occ_count,
     occurrences,
     reverse,
-    rotations,
     word,
 )
 from morphlab.words import find_all, naive_occurrences
@@ -38,9 +37,6 @@ class TestAlphabet:
         abc = Alphabet(("a", "b", "c"))
         assert "c" in abc
         assert "d" not in abc
-        assert abc.index("b") == 1
-        with pytest.raises(KeyError):
-            abc.index("d")
         assert abc.size == 3
         assert not abc.is_binary
         assert BINARY.is_binary
@@ -134,11 +130,6 @@ class TestOccurrences:
 
 
 class TestTransforms:
-    def test_rotations(self):
-        assert [r.text for r in rotations(word("abb"))] == ["abb", "bba", "bab"]
-        with pytest.raises(ValueError):
-            rotations(word(""))
-
     def test_flip(self):
         assert flip(word("aab")).text == "bba"
         with pytest.raises(ValueError):
@@ -151,9 +142,3 @@ class TestTransforms:
         assert longest_proper_prefix(word("abaab")).text == "abaa"
         with pytest.raises(ValueError):
             longest_proper_prefix(word("a"))
-
-    @given(binary_texts.filter(bool))
-    def test_rotations_preserve_multiset(self, text):
-        w = word(text)
-        assert sorted("".join(r.text) for r in rotations(w))[0].count("a") == text.count("a")
-        assert len(rotations(w)) == len(text)
