@@ -3,11 +3,12 @@
 Subcommands: check-if, check-strong-if, check-recognizable, apply, occ,
 mus, netocc, gen, verify, scan-debug.  Word and morphism arguments
 are literals unless they start with ``@``, in which case the rest is a file
-path.  ``--format machine`` emits one ``key=value`` record per line (no
-nesting) so tests in any language can parse the output.
+path; a file of more than ``morphisms.LENGTH_BUDGET`` bytes is refused.
+``--format machine`` emits one ``key=value`` record per line (no nesting) so
+tests in any language can parse the output.
 
 Exit codes: 0 success / positive decision, 1 negative decision or failed
-verification, 2 argument or parse errors.
+verification, 2 argument or parse errors and exceeded budgets.
 """
 
 from __future__ import annotations
@@ -19,15 +20,23 @@ from pathlib import Path
 from . import classic, repeats
 from .aho_corasick import p_pref_lengths, p_suf_lengths, require_non_erasing
 from .enumeration import is_recognizable_on
-from .errors import MorphlabError
+from .errors import BudgetExceededError, MorphlabError
 from .interference import is_interference_free_on, is_strongly_interference_free
-from .morphisms import Morphism
+from .morphisms import LENGTH_BUDGET, Morphism
 from .words import Word, find_all, occurrences, word
 
 
 def _slurp(arg: str) -> str:
+    """``arg``, or the stripped text of the file it names after an ``@``.  A
+    file of more than ``LENGTH_BUDGET`` bytes is refused before it is read."""
     if arg.startswith("@"):
-        return Path(arg[1:]).read_text().strip()
+        path = Path(arg[1:])
+        size = path.stat().st_size
+        if size > LENGTH_BUDGET:
+            raise BudgetExceededError(
+                f"{path} holds {size} bytes, more than the budget of {LENGTH_BUDGET}"
+            )
+        return path.read_text().strip()
     return arg
 
 

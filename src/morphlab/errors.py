@@ -23,5 +23,6 @@ class ErasingImageError(MorphlabError, ValueError):
 
 
 class BudgetExceededError(MorphlabError, RuntimeError):
-    """A computation outgrew its budget: a brute-force enumeration, or the
-    proper image affix sets of a morphism with long images."""
+    """A computation outgrew its budget: a brute-force enumeration, the
+    proper image affix sets of a morphism with long images, an iterated
+    image, or an ``@file`` argument of the CLI."""

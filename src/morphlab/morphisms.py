@@ -10,7 +10,7 @@ shortest witness pair can be reconstructed when the test fails.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -27,6 +27,10 @@ _EPSILON = "."
 #: Most characters that each proper image affix set may hold,
 #: sum(|img| (|img| - 1) / 2) over the distinct images: about 10 MB of text.
 AFFIX_BUDGET = 10**7
+
+#: Most symbols that ``Morphism.iterate`` may build, and most bytes that the
+#: CLI reads from an ``@file`` argument: 2^24, eight times tm_22.
+LENGTH_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -170,16 +174,43 @@ class Morphism:
         return all(set(img) <= self.source._symbol_set for _, img in self.images)
 
     def iterate(self, u: Word, k: int) -> Word:
+        """phi^k(u).  Raises BudgetExceededError, before anything is built,
+        when it would hold more than ``LENGTH_BUDGET`` symbols."""
         if k < 0:
             raise ValueError("iteration count must be >= 0")
         if k == 0:
             return u
         if k >= 2 and not self.is_endomorphism:
             raise ValueError("iterating k >= 2 requires image symbols to map into the source")
+        # |u| max|img|^k bounds |phi^k(u)|; capping the exponent at the
+        # budget's bit length keeps it cheap and changes no comparison, since
+        # max|img|^k is then above the budget whenever max|img| >= 2
+        if (
+            len(u) * self.max_image_length ** min(k, LENGTH_BUDGET.bit_length()) > LENGTH_BUDGET
+            and self._iterate_length(u.text, k) > LENGTH_BUDGET
+        ):
+            raise BudgetExceededError(
+                f"phi^{k}(u) would hold more than {LENGTH_BUDGET} symbols, the budget"
+            )
         text = u.text
         for _ in range(k):
             text = self.apply_text(text)
         return Word(text, self.target)
+
+    def _iterate_length(self, text: str, k: int) -> int:
+        """|phi^k(text)| from per-symbol length tables, or some number above
+        ``LENGTH_BUDGET`` when it is above it; no word is built.  An unknown
+        symbol counts 0 (``apply_text`` rejects it).  The entries stop
+        growing just past the budget, so they stay small, and a table that
+        stops changing ends the loop."""
+        cap = LENGTH_BUDGET + 1
+        lengths = {c: min(len(img), cap) for c, img in self.images}
+        for _ in range(k - 1):
+            step = {c: min(sum(map(lengths.__getitem__, img)), cap) for c, img in self.images}
+            if step == lengths:
+                break
+            lengths = step
+        return sum(lengths.get(c, 0) * count for c, count in Counter(text).items())
 
     # -- structural predicates ------------------------------------------------
 

@@ -6,35 +6,43 @@ an occurrence of a repeated substring whose one-symbol extensions are both
 unique, out-of-range extensions counting as unique.  MUSs are computed from
 the array l(i) of shortest-unique-substring lengths per start position,
 derived from a suffix array with LCPs; net occurrences are the gaps between
-consecutive MUS occurrences.  The suffix array is built by SA-IS in O(n) time
-and O(n) memory, with recursion depth at most log2 n since each level at
-least halves the length; symbols are ordered by code point.  The LCPs come
-from Kasai's algorithm, whose comparisons end at a sentinel placed after the
-last symbol, so they need no bounds tests.  Naive substring-counting versions
-serve as oracles at small scale.
+consecutive MUS occurrences.  Symbols are ordered by code point.
+
+The suffix array is built by SA-IS, with one induced sort per level: the
+LMS substrings are named by one C-level sort of byte-string keys (see
+``_sais``), not by a first induced sort.  That is O(n) Python-level steps
+and O(n) memory, plus the sort of the LMS keys, which is O(n log n) byte
+comparisons in the worst case; the recursion depth is at most log2 n, since
+each level at least halves the length.  The LCPs come from Kasai's
+algorithm, whose comparisons end at a sentinel placed after the last symbol,
+so they need no bounds tests.  Naive substring-counting versions serve as
+oracles at small scale.
 
 ``compute_mus`` and ``compute_net_occurrences`` both read the MUS intervals
 of ``_mus_intervals``, which keeps the last text's intervals in a one-entry
 cache keyed by the text.  So asking for the MUSs and then the net
 occurrences of one word sorts its suffixes once.  The entry holds only the
-tuple of intervals (the suffix array, the LCPs and l(i) are dropped), and one
-entry is enough for that pairing while retaining nothing of earlier words.
+lists of MUS starts and ends (the suffix array, the LCPs and l(i) are
+dropped), and one entry is enough for that pairing while retaining nothing
+of earlier words.
 
-The results are named tuples.  A ``MusOccurrence`` holds its interval and
-the word that was searched, and slices its ``content`` from that word only
-when it is read; a ``NetOccurrence`` is its interval alone.
+The results are named tuples, built in C by ``tuple.__new__`` over the
+zipped fields.  A ``MusOccurrence`` holds its interval and the word that was
+searched, and slices its ``content`` from that word only when it is read; a
+``NetOccurrence`` is its interval alone.
 
 All reported intervals are 1-based and inclusive.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, compress, islice
-from operator import gt
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import gt, le
 from typing import NamedTuple
 
 from .errors import NonInjectiveMorphismError
@@ -44,6 +52,12 @@ from .words import Word, flip, longest_proper_prefix, occ_count, occurrences
 from . import classic
 
 _INF = 1 << 30
+
+# SA-IS keys are 4-byte big-endian codes, so bytes order is the order of the
+# codes; the cap is above every code, since codes and names are below 2**32 - 1
+if array("I").itemsize != 4:
+    raise ImportError("morphlab.repeats needs 4-byte array('I') items")
+_CAP = b"\xff" * 4
 
 
 class MusOccurrence(NamedTuple):
@@ -80,11 +94,12 @@ class NetOccurrence(NamedTuple):
 def suffix_array(text: str) -> list[int]:
     """Suffix array of ``text`` by SA-IS (Nong, Zhang & Chan 2009): the
     start positions of its suffixes in increasing order, symbols compared by
-    code point, so the order is Python's ``str`` order.  O(n) time and O(n)
-    memory; the recursion depth is at most log2 n, since each level at least
-    halves the length."""
+    code point, so the order is Python's ``str`` order.  O(n) Python-level
+    steps and O(n) memory, plus a C-level sort of the LMS keys of each level
+    (see ``_sais``); the recursion depth is at most log2 n, since each level
+    at least halves the length."""
     code = {c: k for k, c in enumerate(sorted(set(text)))}
-    return _sais([code[c] for c in text], len(code))
+    return _sais(list(map(code.__getitem__, text)), len(code))
 
 
 def _sais(s: list[int], upper: int) -> list[int]:
@@ -93,13 +108,34 @@ def _sais(s: list[int], upper: int) -> list[int]:
     The end of ``s`` acts as a virtual sentinel smaller than every symbol.
     A suffix is S-type when it is smaller than the suffix after it and
     L-type otherwise; the last one is L-type.  An LMS position is an S-type
-    one after an L-type one.  Induced sorting places the LMS suffixes at
-    their bucket ends and derives every L-type suffix from them in one
-    forward scan and every S-type suffix in one backward scan.  Run on the
-    LMS positions in text order, it sorts the LMS substrings (from one LMS
-    position to the next, inclusive); naming those gives a string of at most
-    n/2 symbols whose suffix array orders the LMS suffixes, and a second run
-    from that order sorts all suffixes."""
+    one after an L-type one.  Induced sorting places the sorted LMS suffixes
+    at their bucket ends and derives every L-type suffix from them in one
+    forward scan and every S-type suffix in one backward scan.
+
+    The LMS suffixes are sorted by naming the LMS substrings (from one LMS
+    position to the next, inclusive).  Each gets the key of its symbols as
+    4-byte big-endian codes followed by the cap ``b"\\xff" * 4``; the last,
+    which runs into the sentinel, gets its codes with no cap.  One sort of
+    the distinct keys names them, and a name string of at most n/2 symbols,
+    one per LMS position, is sorted by recursion, unless every name is
+    distinct and the sorted keys already give the order.
+
+    Key order is the order of the LMS suffixes wherever the keys differ, and
+    equal keys are equal substrings.  Keys that differ at some code order
+    their suffixes by it.  When a capped v is a proper prefix, in symbols,
+    of another LMS substring w, v's cap sorts it after w, and so do the
+    suffixes: v's last position is S-type, and the same offset inside w is
+    L-type (its predecessor is L-type, as in v, and it is no LMS position),
+    and an S-type suffix is above an L-type one that starts with the same
+    symbol.  When the last substring is a prefix of another, its suffix is a
+    proper prefix of that suffix, so it sorts first, as its uncapped key
+    does; when another substring is a proper prefix of the last, the cap
+    sorts it after the last, by the same S-type/L-type argument.
+
+    O(n) Python-level steps and O(n) memory per level.  The m keys hold
+    4(n + m) bytes in all, so hashing them is O(n), and a comparison stops
+    within the shorter key, so each merge pass of the sort compares O(n)
+    bytes: O(n log n) byte comparisons in the worst case."""
     n = len(s)
     if not n:
         return []
@@ -111,66 +147,57 @@ def _sais(s: list[int], upper: int) -> list[int]:
         for c, d in zip(reversed(s), chain((-1,), reversed(s)))
     ]
     is_s.reverse()
-    # pl[v] / ps[v]: s[v - 1] when suffix v - 1 is L-type / S-type, else -1;
-    # suffix 0 has no predecessor, so 0 also marks an empty slot
-    pl = [-1 if t else c for c, t in zip(chain((-1,), s), chain((True,), is_s))]
-    ps = [c if t else -1 for c, t in zip(chain((-1,), s), chain((True,), is_s))]
+    lms = list(compress(range(1, n), map(gt, islice(is_s, 1, None), is_s)))
+    packed = array("I", s)
+    if sys.byteorder == "little":
+        packed.byteswap()
+    codes = packed.tobytes()
+    # one key per LMS substring, capped, but for the last, which has no cap
+    keys = [codes[4 * v : 4 * e + 4] + _CAP for v, e in zip(lms, islice(lms, 1, None))]
+    if lms:
+        keys.append(codes[4 * lms[-1] :])
+    del packed, codes
+    ranked = sorted(set(keys))
+    if len(ranked) == len(keys):
+        order = list(map(dict(zip(keys, lms)).__getitem__, ranked))
+        del keys, ranked
+    else:
+        names = list(map(dict(zip(ranked, range(len(ranked)))).__getitem__, keys))
+        del keys, ranked  # the keys outweigh the rest of this level
+        order = list(map(lms.__getitem__, _sais(names, max(names) + 1)))
+
+    # pred[v] describes suffix v - 1: s[v - 1] when it is L-type, -2 - s[v - 1]
+    # when it is S-type; suffix 0 has no predecessor, so -1, and the 0 of an
+    # empty slot reads the same
+    pred = [-2 - c if t else c for c, t in zip(chain((-1,), s), chain((True,), is_s))]
+    del is_s
     counts = Counter(s)
     bounds = [0, *accumulate(map(counts.__getitem__, range(upper)))]
-    starts, ends = bounds[:-1], bounds[1:]
-    lms = list(compress(range(1, n), map(gt, islice(is_s, 1, None), is_s)))
-
-    def induce(order: list[int]) -> list[int]:
-        sa = [0] * n
-        tail = ends[:]
-        for v in reversed(order):
-            c = s[v]
-            tail[c] -= 1
-            sa[tail[c]] = v
-        head = starts[:]
-        c = s[n - 1]
-        sa[head[c]] = n - 1
-        head[c] += 1
-        for v in sa:  # writes land ahead of the iterator, which reads them
-            c = pl[v]
-            if c >= 0:
-                i = head[c]
-                sa[i] = v - 1
-                head[c] = i + 1
-        tail = ends[:]
-        for v in reversed(sa):  # writes land behind the reversed iterator
-            c = ps[v]
-            if c >= 0:
-                i = tail[c] - 1
-                sa[i] = v - 1
-                tail[c] = i
-        return sa
-
-    m = len(lms)
-    index = [-1] * n
-    for k, v in enumerate(lms):
-        index[v] = k
-    stops = lms[1:] + [n]
-    names = [0] * m
-    name = -1
-    prev = None
-    for v in induce(lms):
-        k = index[v]
-        if k >= 0:
-            # the last LMS substring runs into the sentinel: it equals no other
-            e = stops[k]
-            piece = s[v : e + 1] if e < n else None
-            if piece is None or piece != prev:
-                name += 1
-            prev = piece
-            names[k] = name
-    if name + 1 < m:
-        order = _sais(names, name + 1)
-    else:
-        order = [0] * m
-        for k, r in enumerate(names):
-            order[r] = k
-    return induce([lms[k] for k in order])
+    sa = [0] * n
+    tail = bounds[1:]
+    for v in reversed(order):
+        c = s[v]
+        tail[c] -= 1
+        sa[tail[c]] = v
+    head = bounds[:-1]
+    c = s[n - 1]
+    sa[head[c]] = n - 1
+    head[c] += 1
+    for v in sa:  # writes land ahead of the iterator, which reads them
+        c = pred[v]
+        if c >= 0:
+            i = head[c]
+            sa[i] = v - 1
+            head[c] = i + 1
+    tail = bounds[1:]
+    for v in reversed(sa):  # writes land behind the reversed iterator
+        c = pred[v]
+        if c < -1:
+            c = -2 - c
+            i = tail[c] - 1
+            sa[i] = v - 1
+            tail[c] = i
+    return sa
 
 
 def lcp_array(text: str, sa: list[int]) -> list[int]:
@@ -218,8 +245,9 @@ def shortest_unique_lengths(text: str) -> list[int]:
 # -- MUS and net occurrences --------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _mus_intervals(text: str) -> tuple[tuple[int, int], ...]:
-    """The 1-based MUS intervals of the nonempty ``text``, sorted by start.
+def _mus_intervals(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The 1-based starts and ends of the MUSs of the nonempty ``text``,
+    sorted by start.
 
     One suffix sort per call.  The cache keeps the last text's intervals
     only: ``compute_mus`` followed by ``compute_net_occurrences`` on the same
@@ -230,11 +258,13 @@ def _mus_intervals(text: str) -> tuple[tuple[int, int], ...]:
     # repeated: l[i + 1] >= l[i], with l[n] = INF.  (l[i + 1] >= l[i] - 1
     # always holds, so a length-1 MUS passes the same test.)
     l.append(_INF)
-    return tuple(
-        (start, start + a - 1)
-        for start, a, b in zip(range(1, len(text) + 1), l, islice(l, 1, None))
-        if a <= b and a < _INF
-    )
+    starts: list[int] = []
+    ends: list[int] = []
+    for start, a, b in zip(count(1), l, islice(l, 1, None)):
+        if a <= b and a < _INF:
+            starts.append(start)
+            ends.append(start + a - 1)
+    return tuple(starts), tuple(ends)  # the cache hands them to every caller
 
 
 def compute_mus(w: Word) -> list[MusOccurrence]:
@@ -244,7 +274,8 @@ def compute_mus(w: Word) -> list[MusOccurrence]:
     again."""
     if not w.text:
         raise ValueError("MUSs are defined for nonempty words")
-    return [MusOccurrence(i, j, w) for i, j in _mus_intervals(w.text)]
+    starts, ends = _mus_intervals(w.text)
+    return list(map(tuple.__new__, repeat(MusOccurrence), zip(starts, ends, repeat(w))))
 
 
 def compute_net_occurrences(w: Word) -> list[NetOccurrence]:
@@ -253,7 +284,7 @@ def compute_net_occurrences(w: Word) -> list[NetOccurrence]:
     intervals of ``_mus_intervals`` without building any ``MusOccurrence``."""
     if not w.text:
         raise ValueError("net occurrences are defined for nonempty words")
-    return _interleave(_mus_intervals(w.text), len(w))
+    return _interleave(*_mus_intervals(w.text), len(w))
 
 
 def mus_to_net(mus_list: list[MusOccurrence], n: int) -> list[NetOccurrence]:
@@ -262,14 +293,17 @@ def mus_to_net(mus_list: list[MusOccurrence], n: int) -> list[NetOccurrence]:
     out empty are dropped."""
     if not mus_list:
         raise ValueError("mus_to_net requires a nonempty MUS list")
-    return _interleave([m.interval for m in mus_list], n)
+    return _interleave([m.start for m in mus_list], [m.end for m in mus_list], n)
 
 
-def _interleave(intervals: Sequence[tuple[int, int]], n: int) -> list[NetOccurrence]:
-    """``mus_to_net`` on (start, end) pairs sorted by start."""
-    starts = [1] + [i + 1 for i, _ in intervals]
-    ends = [j - 1 for _, j in intervals] + [n]
-    return [NetOccurrence(i, j) for i, j in zip(starts, ends) if i <= j]
+def _interleave(
+    starts: tuple[int, ...] | list[int], ends: tuple[int, ...] | list[int], n: int
+) -> list[NetOccurrence]:
+    """``mus_to_net`` on the starts and ends of MUSs sorted by start."""
+    lo = [1, *map((1).__add__, starts)]
+    hi = [*map((-1).__add__, ends), n]
+    kept = compress(zip(lo, hi), map(le, lo, hi))
+    return list(map(tuple.__new__, repeat(NetOccurrence), kept))
 
 
 # -- naive oracles ------------------------------------------------------------

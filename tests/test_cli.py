@@ -83,6 +83,27 @@ class TestApplyOccGen:
         assert code == 0
         assert out.strip() == "abaababa"
 
+    def test_apply_refuses_iterations_above_the_budget(self, capsys):
+        code, out, err = run(capsys, "apply", "--morphism", "a->ab;b->a",
+                             "--word", "a", "--iterations", "60")
+        assert code == 2
+        assert out == ""
+        assert "phi^60(u) would hold more than 16777216 symbols" in err
+
+    def test_file_argument_refused_before_it_is_read(self, capsys, tmp_path):
+        # a sparse file: its size is set, its bytes are never written or read
+        big = tmp_path / "big.txt"
+        with big.open("wb") as f:
+            f.truncate(2**24 + 1)
+        code, _, err = run(capsys, "mus", "--text", f"@{big}")
+        assert code == 2
+        assert "16777217 bytes, more than the budget of 16777216" in err
+        small = tmp_path / "small.txt"
+        small.write_text("abaababa\n")
+        code, out, _ = run(capsys, "mus", "--text", f"@{small}")
+        assert code == 0
+        assert out.splitlines() == ["[3,4] aa", "[5,7] bab"]
+
     def test_occ_machine(self, capsys):
         code, out, _ = run(capsys, "occ", "--pattern", "ab", "--text",
                            "abbabaabbaababba", "--format", "machine")

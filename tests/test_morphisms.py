@@ -67,6 +67,54 @@ class TestApplication:
             m.iterate(word("a"), 2)
 
 
+class TestIterationBudget:
+    """phi^k(u) is refused, before it is built, above LENGTH_BUDGET symbols."""
+
+    def test_budget_is_eight_tm_22(self):
+        assert morphisms.LENGTH_BUDGET == 2**24 == 8 * 2**21
+
+    @pytest.mark.parametrize("k", [40, 60, 10**6])
+    def test_fibonacci_refused_before_it_is_built(self, k):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=f"phi\\^{k}\\(u\\) would hold more than"):
+                FIB.iterate(word("a"), k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+
+    def test_exact_length_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(morphisms, "LENGTH_BUDGET", 64)
+        doubling = Morphism.parse("a->aa")
+        assert len(doubling.iterate(word("a"), 6)) == 64
+        assert len(doubling.iterate(word("aa"), 5)) == 64
+        with pytest.raises(BudgetExceededError):
+            doubling.iterate(word("a"), 7)
+        with pytest.raises(BudgetExceededError):
+            doubling.iterate(word("a" * 65), 1)
+
+    def test_lengths_computed_past_a_loose_bound(self, monkeypatch):
+        monkeypatch.setattr(morphisms, "LENGTH_BUDGET", 64)
+        # |u| max|img|^k is far above 64, the exact lengths are not
+        fixed = Morphism.parse("a->a;b->bbbb")
+        assert fixed.iterate(word("a" * 60), 40).text == "a" * 60
+        # lengths 60 and 30 in turn: a table that never settles
+        assert len(Morphism.parse("a->bc;b->.;c->a").iterate(word("a" * 30), 10**4)) == 30
+        # a morphism that is no endomorphism is iterated once
+        once = Morphism.parse("a->bcbc;b->c")
+        assert len(once.iterate(word("b" * 30 + "a" * 8), 1)) == 62
+        with pytest.raises(BudgetExceededError):
+            once.iterate(word("b" * 30 + "a" * 9), 1)
+
+    def test_unknown_symbols_still_rejected(self, monkeypatch):
+        # 3 * 2^5 symbols bound phi^5(abc), which holds 13 + 8 symbols and a
+        # c that has no image
+        monkeypatch.setattr(morphisms, "LENGTH_BUDGET", 64)
+        with pytest.raises(AlphabetMismatchError):
+            FIB.iterate(word("abc"), 5)
+
+
 class TestPredicates:
     def test_proper_prefixes_and_suffixes(self):
         assert FIB.proper_image_prefixes == {"a"}

@@ -147,6 +147,139 @@ class TestSuffixStructures:
                 assert l[i] > n
 
 
+def short_words():
+    """Every binary word of length <= 14 and every ternary word of length <= 8."""
+    for alphabet, longest in (("ab", 14), ("abc", 8)):
+        for n in range(1, longest + 1):
+            for p in product(alphabet, repeat=n):
+                yield "".join(p)
+
+
+def lms_substrings(text):
+    """The LMS substrings of text by definition: suffix i is S-type when
+    text[i:] < text[i + 1:]; an LMS position is S-type after an L-type one;
+    each substring runs to the next LMS position inclusive, the last one to
+    the end.  Returns (the non-last substrings, the last one or None)."""
+    n = len(text)
+    s_type = [text[i:] < text[i + 1 :] for i in range(n)]
+    lms = [i for i in range(1, n) if s_type[i] and not s_type[i - 1]]
+    inner = [text[v : e + 1] for v, e in zip(lms, lms[1:])]
+    return inner, (text[lms[-1] :] if lms else None)
+
+
+def sais_levels(monkeypatch, text):
+    """The number of ``repeats._sais`` levels that sorting text runs."""
+    calls = []
+    original = repeats._sais
+
+    def counting(s, upper):
+        calls.append(len(s))
+        return original(s, upper)
+
+    monkeypatch.setattr(repeats, "_sais", counting)
+    suffix_array(text)
+    monkeypatch.undo()
+    return len(calls)
+
+
+class TestLmsKeyOrder:
+    """Each level of SA-IS names its LMS substrings by sorting byte-string
+    keys: the 4-byte codes of the substring, then a cap above every code,
+    except for the last substring, which has no cap."""
+
+    @staticmethod
+    def assert_sorted(text):
+        naive = sorted(range(len(text)), key=lambda i: text[i:])
+        assert suffix_array(text) == naive, text[:40]
+
+    def test_every_short_word(self):
+        for text in short_words():
+            self.assert_sorted(text)
+
+    def test_inner_substring_a_proper_prefix_of_another(self):
+        text = "bacbacbc"
+        inner, _ = lms_substrings(text)
+        assert any(v != w and w.startswith(v) for v in inner for w in inner)
+        self.assert_sorted(text)
+
+    def test_last_substring_a_prefix_of_another(self):
+        text = "babab"
+        inner, last = lms_substrings(text)
+        assert any(w.startswith(last) for w in inner)
+        self.assert_sorted(text)
+
+    def test_another_substring_a_proper_prefix_of_the_last(self):
+        text = "bababaa"
+        inner, last = lms_substrings(text)
+        assert any(last.startswith(v) and last != v for v in inner)
+        self.assert_sorted(text)
+
+    def test_distinct_names_sort_without_recursion(self, monkeypatch):
+        for text in ("babab", "bacbacbc", "abcacbab"):
+            inner, last = lms_substrings(text)
+            assert len(inner) >= 1 and len(set(inner)) == len(inner)
+            assert sais_levels(monkeypatch, text) == 1
+            self.assert_sorted(text)
+
+    def test_repeated_names_recurse(self, monkeypatch):
+        texts = ["bababab"]
+        texts += [fibonacci_word(i).text for i in (8, 12, 16)]
+        texts += [thue_morse_word(i).text for i in (6, 9, 12)]
+        for text in texts:
+            inner, _ = lms_substrings(text)
+            assert len(set(inner)) < len(inner)
+            assert sais_levels(monkeypatch, text) > 1
+            self.assert_sorted(text)
+
+    @pytest.mark.parametrize("text, count", [("ba", 0), ("aaa", 0), ("ab", 0), ("a" * 300, 0),
+                                             ("bab", 1), ("abab", 1), ("baab", 1)])
+    def test_zero_or_one_lms_position(self, text, count):
+        inner, last = lms_substrings(text)
+        assert len(inner) + (last is not None) == count
+        self.assert_sorted(text)
+
+    def test_edge_alphabet(self):
+        edge = "\0\né\U0001F600\U0010FFFF"
+        texts = ["".join(p) for n in range(1, 5) for p in product(edge, repeat=n)]
+        rng = random.Random(23)
+        texts += ["".join(rng.choices(edge, k=rng.randint(5, 200))) for _ in range(300)]
+        for text in texts:
+            self.assert_sorted(text)
+
+    def test_codes_above_one_byte(self):
+        # 1,024 symbols, so codes and names above 255 whose keys compare in
+        # their higher bytes.  The order of two LMS suffixes with equal LMS
+        # substrings is read from the names of what follows them: here 60
+        # copies of one block, each followed by a different random tail
+        symbols = [chr(c) for c in range(0x100, 0x500)]
+        rng = random.Random(31)
+        block = "".join(rng.choices(symbols, k=50))
+        self.assert_sorted("".join(block + "".join(rng.choices(symbols, k=10)) for _ in range(60)))
+        self.assert_sorted("".join(rng.choices(symbols, k=3000)))
+
+
+class TestShortWordOutputs:
+    """The results equal the oracles on every short word, and are exactly the
+    result types."""
+
+    def test_every_short_word_against_the_oracles(self):
+        for text in short_words():
+            w = word(text)
+            mus = compute_mus(w)
+            assert mus == naive_mus(w), text
+            net = naive_net_occurrences(w)
+            assert compute_net_occurrences(w) == net, text
+            assert mus_to_net(mus, len(w)) == net, text
+
+    def test_result_types(self):
+        w = Word("".join(random.Random(29).choices("ab", k=300)))
+        mus = compute_mus(w)
+        nets = (compute_net_occurrences(w), mus_to_net(mus, len(w)))
+        assert mus and all(type(m) is MusOccurrence for m in mus)
+        assert nets[0] and all(type(o) is NetOccurrence for net in nets for o in net)
+        assert nets[0] == nets[1] == naive_net_occurrences(w)
+
+
 class TestMus:
     def test_fibonacci_fixtures(self):
         assert [(m.start, m.end, m.content.text) for m in compute_mus(fibonacci_word(6))] == [
