@@ -180,6 +180,17 @@ class Morphism:
             raise ValueError("iteration count must be >= 0")
         if k == 0:
             return u
+        self._require_iterable(u, k)
+        text = u.text
+        for _ in range(k):
+            text = self.apply_text(text)
+        return Word(text, self.target)
+
+    def _require_iterable(self, u: Word, k: int) -> None:
+        """Raise, before anything is built, when phi^k(u) for k >= 1 cannot
+        be built: ValueError when k >= 2 and phi is no endomorphism,
+        BudgetExceededError when it would hold more than ``LENGTH_BUDGET``
+        symbols."""
         if k >= 2 and not self.is_endomorphism:
             raise ValueError("iterating k >= 2 requires image symbols to map into the source")
         # |u| max|img|^k bounds |phi^k(u)|; capping the exponent at the
@@ -192,10 +203,6 @@ class Morphism:
             raise BudgetExceededError(
                 f"phi^{k}(u) would hold more than {LENGTH_BUDGET} symbols, the budget"
             )
-        text = u.text
-        for _ in range(k):
-            text = self.apply_text(text)
-        return Word(text, self.target)
 
     def _iterate_length(self, text: str, k: int) -> int:
         """|phi^k(text)| from per-symbol length tables, or some number above

@@ -5,26 +5,31 @@ A MUS is a unique substring both of whose one-symbol trims are repeated
 an occurrence of a repeated substring whose one-symbol extensions are both
 unique, out-of-range extensions counting as unique.  MUSs are computed from
 the array l(i) of shortest-unique-substring lengths per start position,
-derived from a suffix array with LCPs; net occurrences are the gaps between
-consecutive MUS occurrences.  Symbols are ordered by code point.
+derived in one text-order pass from the suffix array; net occurrences are
+the gaps between consecutive MUS occurrences.  Symbols are ordered by code
+point.
 
 The suffix array is built by SA-IS, with one induced sort per level: the
 LMS substrings are named by one C-level sort of byte-string keys (see
 ``_sais``), not by a first induced sort.  That is O(n) Python-level steps
 and O(n) memory, plus the sort of the LMS keys, which is O(n log n) byte
 comparisons in the worst case; the recursion depth is at most log2 n, since
-each level at least halves the length.  The LCPs come from Kasai's
-algorithm, whose comparisons end at a sentinel placed after the last symbol,
-so they need no bounds tests.  Naive substring-counting versions serve as
-oracles at small scale.
+each level at least halves the length.  l(i) comes from one pass of
+Kasai's LCP algorithm over the text positions, each paired with its
+predecessor in the suffix array (the permuted LCP of Kärkkäinen, Manzini &
+Puglisi); each LCP found raises l at both suffixes of its pair, so no rank
+array and no LCP array in suffix-array order are built, and no second pass
+is made.  That pass is O(n) steps and O(n) memory, and its comparisons end
+at a sentinel placed after the last symbol, so they need no bounds tests.
+Naive substring-counting versions serve as oracles at small scale.
 
 ``compute_mus`` and ``compute_net_occurrences`` both read the MUS intervals
 of ``_mus_intervals``, which keeps the last text's intervals in a one-entry
 cache keyed by the text.  So asking for the MUSs and then the net
 occurrences of one word sorts its suffixes once.  The entry holds only the
-lists of MUS starts and ends (the suffix array, the LCPs and l(i) are
-dropped), and one entry is enough for that pairing while retaining nothing
-of earlier words.
+lists of MUS starts and ends (the suffix array, the predecessor array and
+l(i) are dropped), and one entry is enough for that pairing while retaining
+nothing of earlier words.
 
 The results are named tuples, built in C by ``tuple.__new__`` over the
 zipped fields.  A ``MusOccurrence`` holds its interval and the word that was
@@ -205,7 +210,12 @@ def lcp_array(text: str, sa: list[int]) -> list[int]:
 
     The symbols are compared as a list ending in ``None``, which equals no
     symbol, so a comparison stops at the end of the shorter suffix without a
-    bounds test (two distinct suffixes never reach the end together)."""
+    bounds test (two distinct suffixes never reach the end together).
+
+    Nothing in the library calls it: ``shortest_unique_lengths`` finds its
+    LCPs in text order.  It is kept for the tests, which check it against
+    the definition, and for the benchmark's tracer, which wraps it by
+    name."""
     n = len(text)
     rank = [0] * n
     for r, i in enumerate(sa):
@@ -228,17 +238,65 @@ def lcp_array(text: str, sa: list[int]) -> list[int]:
 
 def shortest_unique_lengths(text: str) -> list[int]:
     """l[i] = length of the shortest unique substring starting at 0-based i,
-    or _INF when every substring starting at i is repeated."""
+    or _INF when every substring starting at i is repeated.
+
+    One pass over the text positions.  Phi[i] is the suffix just before
+    suffix i in the suffix array (Kärkkäinen, Manzini & Puglisi 2009); for
+    the first it is n, the empty suffix, which sorts before every other.
+    A substring of length m starting at i is repeated iff another suffix
+    shares m symbols with suffix i, and the suffixes that share the most
+    with it are its neighbours in the suffix array, so
+    l[i] = max(LCP(i, Phi[i]), LCP(i, next(i))) + 1, a missing next(i)
+    sharing 0.  Kasai's pass finds h = LCP(i, Phi[i]) for i = 0, 1, ...,
+    n - 1 and carries h - 1 to i + 1: when j = Phi[i] shares h >= 1
+    symbols with i, suffix j + 1 sorts before i + 1 and shares h - 1 with
+    it, and Phi[i + 1] sorts at or after j + 1 and just before i + 1, so it
+    shares at least h - 1 too.  At the first suffix in the array the carry
+    is 0, since a carry of h - 1 >= 1 would sort suffix j + 1 before it, so
+    its comparison with the empty suffix reads only s[n].  So i + h never
+    falls, and the pass makes O(n) symbol comparisons.  They end at the
+    ``None`` placed at s[n], after the last symbol, which equals no symbol,
+    so they need no bounds tests (two distinct suffixes never reach the end
+    together).  Each h is the LCP of one pair of neighbours, so it raises
+    both l[i] and l[j] to h + 1; a position is raised by its predecessor's
+    pair at its own step and by its successor's pair at the successor's
+    step, so it ends at the max.  The empty suffix shares 0 symbols, so its
+    slot l[n] stays 1 and is dropped.
+
+    The tail: the max is at most n - i, the length of suffix i, and reaches
+    it exactly when suffix i is a prefix of another suffix, that is when it
+    occurs elsewhere and no substring starting at i is unique; l[i] is then
+    n - i + 1 and becomes _INF.  If suffix i occurs at p != i, suffix i + 1
+    occurs at p + 1, so these positions form one range ending at n - 1, and
+    a backward walk that stops at the first other position finds them all.
+
+    Only Phi, the symbol list and l are held during the pass: O(n) memory
+    beside the suffix sort."""
     n = len(text)
     if n == 0:
         return []
     sa = suffix_array(text)
-    lcp = lcp_array(text, sa)
-    lcp.append(0)  # the last suffix in sa has no successor
-    l = [0] * n
-    for i, a, b in zip(sa, lcp, islice(lcp, 1, None)):
-        m = a if a > b else b
-        l[i] = m + 1 if m < n - i else _INF
+    phi = [n] * n
+    for j, i in zip(sa, islice(sa, 1, None)):
+        phi[i] = j
+    del sa
+    s = [*text, None]
+    l = [1] * (n + 1)  # l[n], of the empty suffix, is read and never raised
+    h = 0
+    for i, j in enumerate(phi):
+        while s[i + h] == s[j + h]:
+            h += 1
+        if h >= l[i]:
+            l[i] = h + 1
+        if h >= l[j]:
+            l[j] = h + 1
+        if h:
+            h -= 1
+    l.pop()
+    i = n - 1
+    while i >= 0 and l[i] > n - i:
+        l[i] = _INF
+        i -= 1
     return l
 
 
@@ -396,7 +454,8 @@ def verify_occurrence_preservation(
             witness=phi.injectivity_witness,
         )
 
-    image_v = phi.iterate(v, k)  # first: it rejects k >= 2 on a non-endomorphism
+    phi._require_iterable(u, k)  # phi^k(u) is built by k applies below
+    image_v = phi.iterate(v, k)
     failing: int | None = None
     image_u = u
     for i in range(k):  # phi IF on phi^i(u) for i < k, building phi^k(u) once

@@ -26,9 +26,9 @@ from morphlab import (
     verify_tm_mus,
     word,
 )
-from morphlab import repeats
+from morphlab import morphisms, repeats
 from morphlab.classic import NAMED_MORPHISMS
-from morphlab.errors import NonInjectiveMorphismError
+from morphlab.errors import BudgetExceededError, NonInjectiveMorphismError
 from morphlab.repeats import (
     MusOccurrence,
     NetOccurrence,
@@ -46,10 +46,12 @@ SORT_ALPHABETS = ("a", "ab", "abc", "abcde", "zéa")
 sort_texts = st.sampled_from(SORT_ALPHABETS).flatmap(
     lambda alphabet: st.text(alphabet=alphabet, max_size=300)
 )
-# NUL, newline, a two-byte and a four-byte symbol: a sentinel taken from the
-# symbols would equal one of them; over {a} every suffix is a prefix of a
-# longer one, so every LCP comparison runs to the end of the text
-EDGE_ALPHABETS = ("\0\n\u00e9\U0001F600", "a")
+# NUL, newline, a two-byte and two four-byte symbols, the last code point
+# among them: a sentinel taken from the symbols would equal one of them; over
+# {a} every suffix is a prefix of a longer one, so every LCP comparison runs
+# to the end of the text
+EDGE_SYMBOLS = "\0\n\u00e9\U0001F600\U0010FFFF"
+EDGE_ALPHABETS = (EDGE_SYMBOLS, "a")
 edge_texts = st.sampled_from(EDGE_ALPHABETS).flatmap(
     lambda alphabet: st.text(alphabet=alphabet, min_size=1, max_size=60)
 )
@@ -100,7 +102,7 @@ class TestSuffixStructures:
 
     def test_suffix_array_memory_is_linear(self):
         # a sort keyed by the suffixes themselves peaks near n^2 / 2 bytes
-        # (130 MiB at n = 16,384); SA-IS stays near 11 MiB here
+        # (130 MiB at n = 16,384); SA-IS peaks at about 6.7 MiB here
         text = "".join(random.Random(5).choices("ab", k=100_000))
         tracemalloc.start()
         try:
@@ -128,6 +130,7 @@ class TestSuffixStructures:
     @example("\n\0\n\0\n")
     def test_mus_and_net_match_the_oracles_on_edge_alphabets(self, text):
         w = word(text)
+        assert shortest_unique_lengths(text) == naive_shortest_unique_lengths(text)
         assert compute_mus(w) == naive_mus(w)
         assert compute_net_occurrences(w) == naive_net_occurrences(w)
 
@@ -153,6 +156,16 @@ def short_words():
         for n in range(1, longest + 1):
             for p in product(alphabet, repeat=n):
                 yield "".join(p)
+
+
+def naive_shortest_unique_lengths(text):
+    """l[i] by counting every substring: the least m with text[i:i + m]
+    occurring once, or repeats._INF when there is none."""
+    counts = Counter(text[i:j] for i in range(len(text)) for j in range(i + 1, len(text) + 1))
+    return [
+        next((m for m in range(1, len(text) - i + 1) if counts[text[i : i + m]] == 1), repeats._INF)
+        for i in range(len(text))
+    ]
 
 
 def lms_substrings(text):
@@ -264,12 +277,39 @@ class TestShortWordOutputs:
 
     def test_every_short_word_against_the_oracles(self):
         for text in short_words():
+            assert shortest_unique_lengths(text) == naive_shortest_unique_lengths(text), text
             w = word(text)
             mus = compute_mus(w)
             assert mus == naive_mus(w), text
             net = naive_net_occurrences(w)
             assert compute_net_occurrences(w) == net, text
             assert mus_to_net(mus, len(w)) == net, text
+
+    def test_every_short_edge_word_against_the_oracles(self):
+        for n in range(1, 6):
+            for p in product(EDGE_SYMBOLS, repeat=n):
+                text = "".join(p)
+                assert shortest_unique_lengths(text) == naive_shortest_unique_lengths(text), text
+                w = word(text)
+                assert compute_mus(w) == naive_mus(w), text
+                assert compute_net_occurrences(w) == naive_net_occurrences(w), text
+
+    @pytest.mark.parametrize(
+        "text, tail",
+        [
+            ("aaaaaa", range(1, 6)),
+            ("abab", range(2, 4)),
+            ("abaabbab", range(6, 8)),
+            ("aaab", range(4, 4)),  # no suffix is repeated
+        ],
+    )
+    def test_unbounded_positions_are_one_tail_range(self, text, tail):
+        # l[i] is _INF exactly where suffix i occurs elsewhere, and a later
+        # suffix of a repeated suffix is repeated too
+        assert [i for i in range(len(text)) if text.find(text[i:]) < i] == list(tail)
+        l = shortest_unique_lengths(text)
+        assert [i for i, m in enumerate(l) if m == repeats._INF] == list(tail)
+        assert all(m <= len(text) - i for i, m in enumerate(l) if i not in tail)
 
     def test_result_types(self):
         w = Word("".join(random.Random(29).choices("ab", k=300)))
@@ -481,7 +521,8 @@ class TestTracedStages:
     """The benchmark's per-layer trace wraps ``repeats.suffix_array``,
     ``repeats.lcp_array`` and ``repeats.shortest_unique_lengths`` as module
     attributes; a refactor that stops calling one of them through its module
-    name would leave that row reading 0."""
+    name would leave that row reading 0.  ``shortest_unique_lengths`` finds
+    its LCPs in text order, so ``lcp_array`` is not called."""
 
     def test_mus_then_net_calls_each_stage_once(self, monkeypatch):
         calls = Counter()
@@ -500,7 +541,12 @@ class TestTracedStages:
             assert compute_net_occurrences(w) == naive_net_occurrences(w)
         finally:
             repeats._mus_intervals.cache_clear()
-        assert calls == {"suffix_array": 1, "lcp_array": 1, "shortest_unique_lengths": 1}
+        stages = ("suffix_array", "lcp_array", "shortest_unique_lengths")
+        assert {name: calls[name] for name in stages} == {
+            "suffix_array": 1,
+            "lcp_array": 0,
+            "shortest_unique_lengths": 1,
+        }
 
 
 @st.composite
@@ -640,6 +686,19 @@ class TestOccurrencePreservation:
         with pytest.raises(NonInjectiveMorphismError) as caught:
             verify_occurrence_preservation(phi, word("a"), word("a"), 1)
         assert tuple(w.text for w in caught.value.witness) == ("aa", "b")
+
+    def test_refuses_phi_k_of_u_above_the_budget_before_applying(self, monkeypatch):
+        # phi^8(aaaa) holds 220 symbols, phi^8(a) 55
+        monkeypatch.setattr(morphisms, "LENGTH_BUDGET", 100)
+        phi = Morphism.parse("a->ab;b->a")
+        with pytest.raises(BudgetExceededError):
+            phi.iterate(word("aaaa"), 8)
+        assert len(phi.iterate(word("a"), 8)) == 55
+        applied = []
+        monkeypatch.setattr(Morphism, "apply_text", lambda self, text: applied.append(text))
+        with pytest.raises(BudgetExceededError, match="phi\\^8\\(u\\) would hold more than 100"):
+            verify_occurrence_preservation(phi, word("aaaa"), word("a"), 8)
+        assert applied == []
 
     @pytest.mark.parametrize("u", ["a", "b"])
     def test_rejects_iterating_a_non_endomorphism(self, u):
