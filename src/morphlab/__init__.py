@@ -17,10 +17,9 @@ from .words import (
     longest_proper_prefix,
     occ_count,
     occurrences,
-    reverse,
     word,
 )
-from .morphisms import Morphism, parse_morphism
+from .morphisms import Morphism
 from .interference import (
     InterferenceDecision,
     InterferenceWitness,
@@ -31,7 +30,6 @@ from .interference import (
 )
 from .enumeration import (
     CircularFactorization,
-    EnumerationBudget,
     RecognizabilityDecision,
     brute_force_is_interference_free,
     count_circular_factorizations,

@@ -13,7 +13,7 @@ from functools import lru_cache
 from .morphisms import Morphism
 from .words import BINARY, Word, flip, occ_count, occurrences
 
-#: Default index caps; f_30 = 832040 and 2^21 symbols are desk scale.
+#: Index caps, read at each call; f_30 = 832040 and 2^21 symbols are desk scale.
 MAX_FIBONACCI_ORDER = 30
 MAX_THUE_MORSE_ORDER = 22
 
@@ -60,9 +60,9 @@ def _fibonacci_text(i: int) -> str:
     return _fibonacci_text(i - 1) + _fibonacci_text(i - 2)
 
 
-def fibonacci_word(i: int, max_order: int = MAX_FIBONACCI_ORDER) -> Word:
-    """The Fibonacci word F_i over {a, b}."""
-    _check_order(i, max_order, "Fibonacci")
+def fibonacci_word(i: int) -> Word:
+    """The Fibonacci word F_i over {a, b}, for 1 <= i <= MAX_FIBONACCI_ORDER."""
+    _check_order(i, MAX_FIBONACCI_ORDER, "Fibonacci")
     return Word(_fibonacci_text(i), BINARY)
 
 
@@ -84,9 +84,10 @@ def _thue_morse_text(i: int) -> str:
     return prev + flip(Word(prev, BINARY)).text
 
 
-def thue_morse_word(i: int, max_order: int = MAX_THUE_MORSE_ORDER) -> Word:
-    """The Thue-Morse word tm_i over {a, b}, |tm_i| = 2^(i-1)."""
-    _check_order(i, max_order, "Thue-Morse")
+def thue_morse_word(i: int) -> Word:
+    """The Thue-Morse word tm_i over {a, b}, |tm_i| = 2^(i-1), for
+    1 <= i <= MAX_THUE_MORSE_ORDER."""
+    _check_order(i, MAX_THUE_MORSE_ORDER, "Thue-Morse")
     return Word(_thue_morse_text(i), BINARY)
 
 

@@ -4,8 +4,9 @@ These are the independent ground truth against which the linear-time
 interference decision is certified.  Everything here works by direct
 definition: candidate cuts are enumerated exhaustively and middles are
 decomposed by a transparent prefix DP over the source symbols.  Costs are
-exponential in principle, so enumerations carry an explicit budget and fail
-loudly instead of truncating.
+exponential in principle, so enumerations refuse a word longer than
+``WORD_LENGTH_BUDGET`` and raise once they find more than
+``FACTORIZATION_BUDGET`` factorizations, instead of truncating.
 
 Recognizability is decided here too, by one counting DP: every rotation of
 phi(u) has the same number of circular factorizations (the proof is in
@@ -14,7 +15,6 @@ phi(u) has the same number of circular factorizations (the proof is in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, NonInjectiveMorphismError
@@ -22,28 +22,11 @@ from .interference import INTERFERED_FACTORIZATION, InterferenceWitness, affix_d
 from .morphisms import Morphism
 from .words import Word
 
-#: Environment variable overriding the factorization-count budget.
-BUDGET_ENV_VAR = "MORPHLAB_BUDGET"
+#: Longest word that an ``enumerate_*`` function accepts, in symbols.
+WORD_LENGTH_BUDGET = 64
 
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_word_length: int = 64
-    max_factorizations: int = 100_000
-
-
-def default_budget() -> EnumerationBudget:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if not raw:
-        return EnumerationBudget()
-    message = f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}"
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(message) from None
-    if value < 1:
-        raise ValueError(message)
-    return EnumerationBudget(max_factorizations=value)
+#: Most factorizations that an ``enumerate_*`` function returns.
+FACTORIZATION_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -72,10 +55,10 @@ class RecognizabilityDecision:
         return self.recognizable
 
 
-def _check_budget(text: str, budget: EnumerationBudget) -> None:
-    if len(text) > budget.max_word_length:
+def _check_length(text: str) -> None:
+    if len(text) > WORD_LENGTH_BUDGET:
         raise BudgetExceededError(
-            f"word length {len(text)} exceeds enumeration budget {budget.max_word_length}"
+            f"word length {len(text)} exceeds enumeration budget {WORD_LENGTH_BUDGET}"
         )
 
 
@@ -114,32 +97,28 @@ def count_image_factorizations(phi: Morphism, w: Word | str) -> int:
     return _decomposition_counts(text, phi.images, 0)[len(text)]
 
 
-def enumerate_image_factorizations(
-    phi: Morphism, w: Word | str, budget: EnumerationBudget | None = None
-) -> list[tuple[str, ...]]:
+def enumerate_image_factorizations(phi: Morphism, w: Word | str) -> list[tuple[str, ...]]:
     """All source-symbol sequences whose images concatenate to w.
 
     The empty word yields the single empty sequence.
     """
-    budget = budget or default_budget()
     text = str(w)
-    _check_budget(text, budget)
+    _check_length(text)
     total = count_image_factorizations(phi, text)
-    if total > budget.max_factorizations:
+    if total > FACTORIZATION_BUDGET:
         raise BudgetExceededError(f"{total} factorizations exceed the enumeration budget")
     return _decompositions(text, phi.images, 0, len(text), {})
 
 
 def enumerate_interfered_factorizations(
-    phi: Morphism, w: Word | str, budget: EnumerationBudget | None = None
+    phi: Morphism, w: Word | str
 ) -> list[InterferenceWitness]:
     """All interfered factorizations x . y . z of w, by exhaustive cut
     enumeration over proper image suffixes x and proper image prefixes z."""
-    budget = budget or default_budget()
     text = str(w)
     if not text:
         raise ValueError("interfered factorizations are defined for nonempty words")
-    _check_budget(text, budget)
+    _check_length(text)
     n = len(text)
     x_cands = [""] + sorted(
         (s for s in phi.proper_image_suffixes if text.startswith(s)), key=len
@@ -167,7 +146,7 @@ def enumerate_interfered_factorizations(
                         donor_z=affix_donor(phi, z, suffix=False),
                     )
                 )
-                if len(out) > budget.max_factorizations:
+                if len(out) > FACTORIZATION_BUDGET:
                     raise BudgetExceededError(
                         "interfered factorization count exceeds the enumeration budget"
                     )
@@ -182,13 +161,12 @@ def _splits(phi: Morphism):
 
 
 def enumerate_circular_factorizations(
-    phi: Morphism, w: Word | str, budget: EnumerationBudget | None = None
+    phi: Morphism, w: Word | str
 ) -> list[CircularFactorization]:
-    budget = budget or default_budget()
     text = str(w)
     if not text:
         raise ValueError("circular factorizations are defined for nonempty words")
-    _check_budget(text, budget)
+    _check_length(text)
     n = len(text)
     out: list[CircularFactorization] = []
     for p, q, c in _splits(phi):
@@ -199,7 +177,7 @@ def enumerate_circular_factorizations(
         memo: dict[int, list[tuple[str, ...]]] = {}
         for r_symbols in _decompositions(text, phi.images, len(q), n - len(p), memo):
             out.append(CircularFactorization(q, r_symbols, p, c))
-            if len(out) > budget.max_factorizations:
+            if len(out) > FACTORIZATION_BUDGET:
                 raise BudgetExceededError(
                     "circular factorization count exceeds the enumeration budget"
                 )
@@ -239,11 +217,7 @@ def is_recognizable_on(phi: Morphism, u: Word) -> RecognizabilityDecision:
     rotation's count equals the number of cyclic parses of w.  On failure
     the offending rotation is therefore phi(u) itself, reported with its
     count."""
-    if not phi.is_injective:
-        raise NonInjectiveMorphismError(
-            "recognizability is defined for injective morphisms only",
-            witness=phi.injectivity_witness,
-        )
+    phi.require_injective("recognizability")
     if len(u) == 0:
         raise ValueError("recognizability is defined for nonempty words")
     text = phi.apply_text(u.text)

@@ -43,7 +43,8 @@ and every state, the initial one included, is interned by its key; there is
 no cache across calls.  So the run is one DFA over the source alphabet from
 its initial state.  Interning cannot merge two positions of one run at a
 state with pending seeds: a pending seed's distance is the seed minus the
-cut, and the cut strictly increases, as images are nonempty.  A word of at
+cut, and the cut strictly increases, as the images of an injective phi
+are nonempty.  A word of at
 most ``_SLICE`` symbols is read symbol by symbol, a longer one in slices of
 ``_SLICE`` symbols from its first symbol.  A slice is one more key on the
 same rows, and so is a sub-slice of ``_SUB`` symbols.  A missed sub-slice
@@ -114,17 +115,15 @@ it, and the backtrack applies the rule of the text-level DP
 (:func:`_forward_dp`, :func:`_backtrack`): from the accepting position it
 takes the first predecessor in start order (the longest image first, then
 source order) that the witness's seed reaches, until it stands on that
-seed.  For an injective phi a stretch of the path along canonical cuts
-that the seed reaches is copied as ``u[h:k]`` in one piece, and h is found
-by bisection over the slice ends, then inside one slice.  That is sound:
+seed.  A stretch of the path along canonical cuts that the seed reaches
+is copied as ``u[h:k]`` in one piece, and h is found by bisection over the
+slice ends, then inside one slice.  That is sound:
 let the seed s reach the cuts c_h, ..., c_k of u[:h], ..., u[:k].  At each
 c_i with h < i <= k, the occurrence of phi(u[i-1]) from c_(i-1) is a
 predecessor that s reaches.  Any predecessor that s reaches ends an image
 parse of w[s..c_i] (the chain from s to it, then its image), and two
 distinct image parses of one factor would make phi non-injective, so the
-rule picks that occurrence at every one of these cuts.  With
-``allow_non_injective=True`` on a non-injective phi the backtrack goes step
-by step.
+rule picks that occurrence at every one of these cuts.
 
 The witness keeps y as one string of source symbols: the backtrack joins
 its chunks once, and :attr:`InterferenceWitness.y_symbols` builds the tuple
@@ -148,7 +147,6 @@ from itertools import accumulate
 from operator import getitem
 
 from .aho_corasick import p_pref_lengths, p_suf_lengths, require_non_erasing
-from .errors import NonInjectiveMorphismError
 from .morphisms import Morphism
 from .words import Word
 
@@ -224,7 +222,6 @@ class InnerFactorResult:
 class InterferenceDecision:
     interference_free: bool
     witness: InterferenceWitness | None = None
-    injectivity_overridden: bool = False
 
     def __bool__(self) -> bool:
         return self.interference_free
@@ -238,18 +235,6 @@ class StrongInterferenceDecision:
 
     def __bool__(self) -> bool:
         return self.interference_free
-
-
-def _require_injective(phi: Morphism, allow_non_injective: bool) -> bool:
-    """Returns True when the injectivity precondition was overridden."""
-    if phi.is_injective:
-        return False
-    if not allow_non_injective:
-        raise NonInjectiveMorphismError(
-            "interference-freeness is defined for injective morphisms only",
-            witness=phi.injectivity_witness,
-        )
-    return True
 
 
 def _forward_dp(text, images, seeds, accepts):
@@ -515,7 +500,6 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
     image_of = phi.image_map
     ends = phi.image_ends
     base = phi.max_image_length - 1
-    injective = phi.is_injective
 
     def length(k):  # |phi(u[:k])|
         return sum(text.count(c, 0, k) * len(img) for c, img in phi.images)
@@ -534,7 +518,7 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
         if prev >= q:
             k, cut = k - 1, prev
             continue
-        if injective and q == cut:
+        if q == cut:
             # a seed that reaches one cut reaches every later one
             h = run.first_reaching(seed, k)
             if h < k:
@@ -553,17 +537,15 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
     return "".join(reversed(chunks))
 
 
-def is_interference_free_on(
-    phi: Morphism, u: Word, *, allow_non_injective: bool = False
-) -> InterferenceDecision:
-    """Decide interference-freeness of phi on the single word u."""
-    overridden = _require_injective(phi, allow_non_injective)
+def is_interference_free_on(phi: Morphism, u: Word) -> InterferenceDecision:
+    """Decide interference-freeness of the injective phi on the single
+    nonempty word u."""
+    phi.require_injective("interference-freeness")
     if len(u) == 0:
         raise ValueError("interference-freeness is defined for nonempty words")
     text = u.text
     if not u.alphabet._symbol_set <= phi.image_map.keys():
         phi.apply_text(text)  # raises for the first symbol without an image
-    require_non_erasing(phi)
     size = phi.max_image_length
     head = phi.apply_text(text[:size])
     p_pref = p_pref_lengths(phi, head)
@@ -597,8 +579,8 @@ def is_interference_free_on(
             witness = InterferenceWitness(
                 INNER_IMAGE_FACTOR, host=inner.host, offset=inner.offset
             )
-            return InterferenceDecision(False, witness, overridden)
-        return InterferenceDecision(True, None, overridden)
+            return InterferenceDecision(False, witness)
+        return InterferenceDecision(True)
     witness = InterferenceWitness(
         INTERFERED_FACTORIZATION,
         x=x,
@@ -607,13 +589,12 @@ def is_interference_free_on(
         donor_x=affix_donor(phi, x, suffix=True),
         donor_z=affix_donor(phi, z, suffix=False),
     )
-    return InterferenceDecision(False, witness, overridden)
+    return InterferenceDecision(False, witness)
 
 
 def is_strongly_interference_free(phi: Morphism) -> StrongInterferenceDecision:
     """phi is strongly interference-free iff it is interference-free on every
     single source symbol."""
-    _require_injective(phi, False)
     for c in phi.source.symbols:
         decision = is_interference_free_on(phi, Word(c, phi.source))
         if not decision:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import AlphabetMismatchError, BudgetExceededError
+from .errors import AlphabetMismatchError, BudgetExceededError, NonInjectiveMorphismError
 from .words import Alphabet, Word
 
 #: Separator conventions of the textual morphism format, e.g. "a->ab;b->a".
@@ -54,25 +54,20 @@ class Morphism:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_map(
-        cls,
-        images: Mapping[str, str],
-        source: Alphabet | None = None,
-        target: Alphabet | None = None,
-    ) -> "Morphism":
-        if source is None:
-            source = Alphabet(tuple(images))
-        if target is None:
-            chars = sorted(set("".join(images.values())))
-            target = Alphabet(tuple(chars)) if chars else source
-        return cls(source, target, tuple((c, images[c]) for c in source.symbols))
+    def from_map(cls, images: Mapping[str, str]) -> "Morphism":
+        """The morphism with these images, its source in the mapping's order
+        and its target the sorted image symbols (the source when every image
+        is empty)."""
+        source = Alphabet(tuple(images))
+        chars = sorted(set("".join(images.values())))
+        target = Alphabet(tuple(chars)) if chars else source
+        return cls(source, target, tuple(images.items()))
 
     @classmethod
-    def parse(cls, spec: str, target: Alphabet | None = None) -> "Morphism":
+    def parse(cls, spec: str) -> "Morphism":
         """Parse the textual format ``a->ab;b->a`` (whitespace ignored)."""
         compact = "".join(spec.split())
         images: dict[str, str] = {}
-        order: list[str] = []
         for part in compact.split(_SEP):
             if not part:
                 continue
@@ -84,11 +79,9 @@ class Morphism:
             if sym in images:
                 raise ValueError(f"duplicate rule for symbol {sym!r}")
             images[sym] = "" if img == _EPSILON else img
-            order.append(sym)
         if not images:
             raise ValueError("empty morphism specification")
-        source = Alphabet(tuple(order))
-        return cls.from_map(images, source=source, target=target)
+        return cls.from_map(images)
 
     def format(self) -> str:
         """Inverse of :meth:`parse`."""
@@ -205,10 +198,15 @@ class Morphism:
             )
 
     def _iterate_length(self, text: str, k: int) -> int:
-        """|phi^k(text)| from per-symbol length tables, or some number above
-        ``LENGTH_BUDGET`` when it is above it; no word is built.  An unknown
-        symbol counts 0 (``apply_text`` rejects it).  The entries stop
-        growing just past the budget, so they stay small, and a table that
+        """|phi^k(text)| for k >= 1 from :meth:`_symbol_lengths`, or some
+        number above ``LENGTH_BUDGET`` when it is above it; no word is
+        built.  An unknown symbol counts 0 (``apply_text`` rejects it)."""
+        lengths = self._symbol_lengths(k)
+        return sum(lengths.get(c, 0) * count for c, count in Counter(text).items())
+
+    def _symbol_lengths(self, k: int) -> dict[str, int]:
+        """|phi^k(c)| for each source symbol c and k >= 1, each capped just
+        above ``LENGTH_BUDGET``, so the entries stay small; a table that
         stops changing ends the loop."""
         cap = LENGTH_BUDGET + 1
         lengths = {c: min(len(img), cap) for c, img in self.images}
@@ -217,7 +215,7 @@ class Morphism:
             if step == lengths:
                 break
             lengths = step
-        return sum(lengths.get(c, 0) * count for c, count in Counter(text).items())
+        return lengths
 
     # -- structural predicates ------------------------------------------------
 
@@ -244,6 +242,17 @@ class Morphism:
     @cached_property
     def is_injective(self) -> bool:
         return self.injectivity_witness is None
+
+    def require_injective(self, subject: str) -> None:
+        """Raise NonInjectiveMorphismError, carrying the injectivity
+        witness, unless phi is injective.  ``subject`` names what is
+        defined for injective morphisms only.  An injective morphism is
+        non-erasing: an erased image gives a witness."""
+        if not self.is_injective:
+            raise NonInjectiveMorphismError(
+                f"{subject} is defined for injective morphisms only",
+                witness=self.injectivity_witness,
+            )
 
 
 def _injectivity_witness(
@@ -304,7 +313,3 @@ def _injectivity_witness(
         if not images[c]:
             return c, c + c
     return None
-
-
-def parse_morphism(spec: str, target: Alphabet | None = None) -> Morphism:
-    return Morphism.parse(spec, target=target)

@@ -50,7 +50,6 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import gt, le
 from typing import NamedTuple
 
-from .errors import NonInjectiveMorphismError
 from .interference import is_interference_free_on
 from .morphisms import Morphism
 from .words import Word, flip, longest_proper_prefix, occ_count, occurrences
@@ -445,21 +444,20 @@ def verify_occurrence_preservation(
     phi: Morphism, u: Word, v: Word, k: int = 1
 ) -> PreservationReport:
     """Check count preservation and the position bijection
-    p -> |phi^k(v[1..p-1])| + 1 between Occ(u, v) and Occ(phi^k(u), phi^k(v))."""
+    p -> |phi^k(v[1..p-1])| + 1 between Occ(u, v) and Occ(phi^k(u), phi^k(v))
+    for an injective phi and a nonempty u."""
     if k < 1:
         raise ValueError("iteration count must be >= 1")
-    if not phi.is_injective:
-        raise NonInjectiveMorphismError(
-            "occurrence preservation requires an injective morphism",
-            witness=phi.injectivity_witness,
-        )
+    phi.require_injective("occurrence preservation")
+    if len(u) == 0:
+        raise ValueError("occurrence preservation is defined for nonempty words")
 
     phi._require_iterable(u, k)  # phi^k(u) is built by k applies below
     image_v = phi.iterate(v, k)
     failing: int | None = None
     image_u = u
     for i in range(k):  # phi IF on phi^i(u) for i < k, building phi^k(u) once
-        if failing is None and len(image_u) and not is_interference_free_on(phi, image_u):
+        if failing is None and not is_interference_free_on(phi, image_u):
             failing = i
         image_u = phi.apply(image_u)
     preconditions = failing is None
@@ -469,8 +467,9 @@ def verify_occurrence_preservation(
 
     bijection: bool | None = None
     if preconditions:
-        # prefix image lengths of v under phi^k: |phi^k(c)| once per distinct symbol
-        size = {c: len(phi.iterate(Word(c, v.alphabet), k)) for c in dict.fromkeys(v.text)}
+        # prefix image lengths of v under phi^k; no entry of the table is
+        # capped here, as |phi^k(c)| <= |phi^k(v)| <= LENGTH_BUDGET
+        size = phi._symbol_lengths(k)
         prefix = [0, *accumulate(map(size.__getitem__, v.text))]
         mapped = tuple(prefix[p - 1] + 1 for p in before)
         bijection = mapped == tuple(after.positions)

@@ -43,10 +43,6 @@ class Alphabet:
         return len(self.symbols)
 
     @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    @property
     def is_binary(self) -> bool:
         return len(self.symbols) == 2
 
@@ -139,11 +135,6 @@ class OccurrenceSet:
     def __contains__(self, position: int) -> bool:
         return position in self.positions
 
-    def intervals(self) -> list[tuple[int, int]]:
-        """Occurrences as inclusive ``[i, j]`` intervals (degenerate for the
-        empty pattern)."""
-        return [(p, p + self.pattern_length - 1) for p in self.positions]
-
     def serialize(self) -> str:
         return ",".join(str(p) for p in self.positions)
 
@@ -200,10 +191,6 @@ def flip(w: Word) -> Word:
         raise ValueError("flip requires a binary alphabet")
     a, b = w.alphabet.symbols
     return Word(w.text.translate(str.maketrans(a + b, b + a)), w.alphabet)
-
-
-def reverse(w: Word) -> Word:
-    return Word(w.text[::-1], w.alphabet)
 
 
 def longest_proper_prefix(w: Word) -> Word:

@@ -182,19 +182,21 @@ class TestDecision:
 
     def test_rejects_non_injective(self):
         dup = Morphism.parse("a->ab;b->ab")
-        with pytest.raises(NonInjectiveMorphismError):
+        with pytest.raises(NonInjectiveMorphismError) as caught:
             is_interference_free_on(dup, word("a"))
-        decision = is_interference_free_on(dup, word("a"), allow_non_injective=True)
-        assert decision.injectivity_overridden
+        assert tuple(w.text for w in caught.value.witness) == ("a", "b")
 
     def test_rejects_empty_word(self):
         with pytest.raises(ValueError):
             is_interference_free_on(FIB, word(""))
 
     def test_erasing_image_rejected_at_entry(self):
+        # an erasing morphism is not injective, so no erasing check is needed
         erasing = Morphism.parse("a->ab;b->.")
-        with pytest.raises(ErasingImageError, match="erased: b"):
-            is_interference_free_on(erasing, word("a"), allow_non_injective=True)
+        with pytest.raises(NonInjectiveMorphismError) as caught:
+            is_interference_free_on(erasing, word("a"))
+        x, y = caught.value.witness
+        assert x != y and erasing.apply(x) == erasing.apply(y)
 
 
 @st.composite
@@ -223,11 +225,10 @@ class TestDifferential:
             assert reassembles(phi, w, phi.apply_text(u.text))
 
 
-def reference_decision(phi, u, *, allow_non_injective=False):
+def reference_decision(phi, u):
     """The decision as a DP over the positions of phi(u), kept as the
     reference the window automaton must reproduce field for field."""
-    overridden = not phi.is_injective
-    assert allow_non_injective or not overridden
+    assert phi.is_injective
     text = phi.apply_text(u.text)
     n = len(text)
     p_pref = p_pref_lengths(phi, text)
@@ -248,12 +249,27 @@ def reference_decision(phi, u, *, allow_non_injective=False):
             donor_x=affix_donor(phi, x, suffix=True),
             donor_z=affix_donor(phi, z, suffix=False),
         )
-        return InterferenceDecision(False, witness, overridden)
+        return InterferenceDecision(False, witness)
     inner = is_inner_image_factor(phi, text)
     if inner:
         witness = InterferenceWitness(INNER_IMAGE_FACTOR, host=inner.host, offset=inner.offset)
-        return InterferenceDecision(False, witness, overridden)
-    return InterferenceDecision(True, None, overridden)
+        return InterferenceDecision(False, witness)
+    return InterferenceDecision(True)
+
+
+def decide_against_reference(phi, u):
+    """The decision on an injective phi, checked field for field against
+    the reference; None when phi is not injective, after checking that the
+    decision raises NonInjectiveMorphismError with the injectivity witness."""
+    if not phi.is_injective:
+        with pytest.raises(NonInjectiveMorphismError) as caught:
+            is_interference_free_on(phi, u)
+        x, y = caught.value.witness
+        assert (x, y) == phi.injectivity_witness and phi.apply(x) == phi.apply(y)
+        return None
+    got = is_interference_free_on(phi, u)
+    assert got == reference_decision(phi, u), (phi.format(), u.text)
+    return got
 
 
 class TestWitnessDifferential:
@@ -262,10 +278,7 @@ class TestWitnessDifferential:
     @settings(derandomize=True, max_examples=600, deadline=None)
     @given(any_morphism_and_word())
     def test_small_instances(self, case):
-        phi, u = case
-        overridden = not phi.is_injective
-        got = is_interference_free_on(phi, u, allow_non_injective=overridden)
-        assert got == reference_decision(phi, u, allow_non_injective=overridden)
+        decide_against_reference(*case)
 
     @pytest.mark.parametrize("name", sorted(NAMED_MORPHISMS))
     def test_classic_words(self, name):
@@ -326,7 +339,8 @@ def _long_cases(n):
 
 class TestBlockRunDifferential:
     """Words around and beyond the slice length of the block run: every
-    decision field equals the DP over the positions of phi(u)."""
+    decision field equals the DP over the positions of phi(u), and a
+    non-injective phi is rejected with its witness."""
 
     @pytest.mark.parametrize("n", [
         _SUB - 1, _SUB, _SUB + 1, _SLICE - 1, _SLICE, _SLICE + 1,
@@ -335,20 +349,19 @@ class TestBlockRunDifferential:
         kinds = set()
         pending = False  # a P_pref seed lies past the cut of u[:1]
         for phi, u in _long_cases(n):
-            overridden = not phi.is_injective
-            got = is_interference_free_on(phi, u, allow_non_injective=overridden)
-            assert got == reference_decision(phi, u, allow_non_injective=overridden), (
-                phi.format(), u.text)
+            got = decide_against_reference(phi, u)
+            if got is None:
+                kinds.add("rejected")
+                continue
             w = got.witness
-            kinds.add("if" if w is None else (w.kind, bool(w.z), overridden))
+            kinds.add("if" if w is None else (w.kind, bool(w.z)))
             head = phi.apply_text(u.text[: phi.max_image_length])
             first = len(phi.image_map[u.text[0]])
             pending |= max(p_pref_lengths(phi, head), default=0) > first
         assert pending
-        # IF, both kinds of witness end, and an overridden non-injective phi
-        assert {"if", (INTERFERED_FACTORIZATION, True, False),
-                (INTERFERED_FACTORIZATION, False, False)} <= kinds, kinds
-        assert any(kind[2] for kind in kinds if kind != "if"), kinds
+        # IF, both kinds of witness end, and a rejected non-injective phi
+        assert {"if", (INTERFERED_FACTORIZATION, True),
+                (INTERFERED_FACTORIZATION, False), "rejected"} <= kinds, kinds
 
     @pytest.mark.parametrize("m", [_SLICE - 1, _SLICE + 72, 2 * _SLICE + 1])
     def test_chain_first_meets_a_cut_inside_a_slice(self, m):
@@ -563,20 +576,6 @@ class TestPinnedWitnesses:
             tracemalloc.stop()
         assert type(w.y) is str and len(w.y) == len(u) - 1
         assert peak < sys.getsizeof((None,) * (len(u) - 1)), peak
-
-    def test_non_injective_override_keeps_x(self):
-        phi = Morphism.parse("a->b;b->c;c->ccc")
-        decision = is_interference_free_on(phi, word("cbcaaa"), allow_non_injective=True)
-        w = decision.witness
-        assert decision.injectivity_overridden
-        assert w.x == "cc" and w.z == ""
-        assert reassembles(phi, w, phi.apply_text("cbcaaa"))
-
-    def test_non_injective_unsorted_source_keeps_source_order(self):
-        # equal images listed b before a: the first source symbol listed wins
-        phi = Morphism.parse("b->bb;a->bb")
-        decision = is_interference_free_on(phi, word("aa"), allow_non_injective=True)
-        assert decision.witness.describe() == "x=b y=b z=b"
 
 
 class TestStrong:

@@ -9,11 +9,12 @@ from morphlab import (
     AlphabetMismatchError,
     BudgetExceededError,
     Morphism,
+    NonInjectiveMorphismError,
+    Word,
     is_interference_free_on,
     word,
 )
 from morphlab import morphisms
-from morphlab.morphisms import parse_morphism
 
 FIB = Morphism.parse("a->ab;b->a")
 TM = Morphism.parse("a->ab;b->ba")
@@ -41,9 +42,6 @@ class TestParseFormat:
         for bad in ("", "b", "ab->a", "aa->b", "a->b;a->c"):
             with pytest.raises(ValueError):
                 Morphism.parse(bad)
-
-    def test_parse_morphism_alias(self):
-        assert parse_morphism("a->ab;b->a") == FIB
 
 
 class TestApplication:
@@ -179,6 +177,24 @@ class TestInjectivity:
 
     def test_erasing_image_not_injective(self):
         assert not Morphism.parse("a->.;b->a").is_injective
+
+    def test_injective_morphisms_have_no_empty_image(self):
+        # every morphism of a 1-3-symbol source with images of length 0-3
+        # over {a, b} that erases a symbol has a witness pair, so the
+        # decisions, which require injectivity, need no erasing check
+        images = ["".join(p) for n in range(4) for p in product("ab", repeat=n)]
+        erasing = [
+            Morphism.from_map(dict(zip("abc", chosen)))
+            for size in (1, 2, 3)
+            for chosen in product(images, repeat=size)
+            if not all(chosen)
+        ]
+        assert len(erasing) == 1 + 29 + 631
+        for m in erasing:
+            u, v = m.injectivity_witness
+            assert u != v and m.apply(u) == m.apply(v), m.format()
+            with pytest.raises(NonInjectiveMorphismError):
+                is_interference_free_on(m, Word(m.source.symbols[0], m.source))
 
     def test_witness_is_canonical_shortest(self):
         m = Morphism.parse("a->aa;b->aaa")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from morphlab import enumeration
 from morphlab import (
     BudgetExceededError,
-    EnumerationBudget,
     Morphism,
     count_circular_factorizations,
     count_image_factorizations,
@@ -60,29 +59,31 @@ class TestImageFactorizations:
     def test_no_factorization(self):
         assert enumerate_image_factorizations(FIB, "ba") == []
 
-    def test_budget_word_length(self):
-        tight = EnumerationBudget(max_word_length=3)
-        with pytest.raises(BudgetExceededError):
-            enumerate_image_factorizations(FIB, "abab", budget=tight)
+    def test_budgets_are_module_constants(self):
+        assert enumeration.WORD_LENGTH_BUDGET == 64
+        assert enumeration.FACTORIZATION_BUDGET == 100_000
 
-    def test_budget_factorization_count(self):
-        m = Morphism.parse("a->a;b->aa")
-        tight = EnumerationBudget(max_factorizations=5)
-        with pytest.raises(BudgetExceededError):
-            enumerate_image_factorizations(m, "a" * 12, budget=tight)
+    def test_budget_word_length(self, monkeypatch):
+        # every enumerator reads the budget at call time
+        monkeypatch.setattr(enumeration, "WORD_LENGTH_BUDGET", 3)
+        for enumerate_ in (
+            enumerate_image_factorizations,
+            enumerate_interfered_factorizations,
+            enumerate_circular_factorizations,
+        ):
+            with pytest.raises(BudgetExceededError, match="word length 4"):
+                enumerate_(FIB, "abab")
+        assert enumerate_image_factorizations(FIB, "aba") == [("a", "b")]
 
-    def test_budget_env_override(self, monkeypatch):
+    def test_budget_factorization_count(self, monkeypatch):
+        # a^12 has 233 factorizations under a->a;b->aa
         m = Morphism.parse("a->a;b->aa")
-        monkeypatch.setenv("MORPHLAB_BUDGET", "5")
+        monkeypatch.setattr(enumeration, "FACTORIZATION_BUDGET", 5)
         with pytest.raises(BudgetExceededError):
             enumerate_image_factorizations(m, "a" * 12)
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
-    def test_budget_env_rejects_a_non_positive_integer(self, monkeypatch, raw):
-        monkeypatch.setenv("MORPHLAB_BUDGET", raw)
-        message = f"MORPHLAB_BUDGET must be a positive integer, got '{raw}'"
-        with pytest.raises(ValueError, match=message):
-            enumerate_image_factorizations(FIB, "abab")
+        with pytest.raises(BudgetExceededError):
+            enumerate_circular_factorizations(m, "a" * 12)
+        assert len(enumerate_image_factorizations(m, "aaaa")) == 5
 
 
 class TestInterferedFactorizations:

@@ -36,7 +36,7 @@ from morphlab.repeats import (
     shortest_unique_lengths,
     suffix_array,
 )
-from morphlab.words import occ_count
+from morphlab.words import occ_count, occurrences
 
 binary_texts = st.text(alphabet="ab", min_size=1, max_size=60)
 ternary_texts = st.text(alphabet="abc", min_size=1, max_size=60)
@@ -661,6 +661,39 @@ class TestOccurrencePreservation:
                 before = occurrences(u, v)
                 after = occurrences(mu.iterate(u, k), mu.iterate(v, k))
                 assert tuple(2**k * (p - 1) + 1 for p in before) == tuple(after.positions)
+
+    def test_position_formula_with_unequal_symbol_lengths(self):
+        # |phi^3(a)|, |phi^3(b)|, |phi^3(c)| = 12, 8, 4: position p maps to
+        # |phi^3(v[1..p-1])| + 1, so (2, 6, 9) maps to (5, 41, 69)
+        phi = NAMED_MORPHISMS["variant-thue-morse"].morphism
+        u, v = Word("ab", phi.source), Word("cabacabbab", phi.source)
+        report = verify_occurrence_preservation(phi, u, v, 3)
+        assert report.preserved and report.bijection_holds
+        before = occurrences(u, v)
+        after = occurrences(phi.iterate(u, 3), phi.iterate(v, 3))
+        assert tuple(after) == tuple(len(phi.iterate(v[: p - 1], 3)) + 1 for p in before)
+        assert tuple(after) == (5, 41, 69)
+
+    def test_fibonacci_at_k_3(self):
+        # |phi^3(a)| = 5 and |phi^3(b)| = 3; phi is IF on aa but not on
+        # phi(aa) = abab, so the counts are recorded with no bijection
+        phi = Morphism.parse("a->ab;b->a")
+        assert phi._symbol_lengths(3) == {"a": 5, "b": 3}
+        report = verify_occurrence_preservation(phi, word("aa"), word("abaababaab"), 3)
+        assert (report.preconditions_hold, report.failing_iterate) == (False, 1)
+        assert (report.count_before, report.count_after) == (2, 5)
+        assert report.bijection_holds is None
+
+    def test_rejects_the_empty_word_before_any_iterate(self, monkeypatch):
+        # phi^2 of the empty word occurs 6 times in phi^2(ab) = abaab, the
+        # empty word 3 times in ab: no counterexample to the characterization
+        applied = []
+        monkeypatch.setattr(Morphism, "apply_text", lambda self, text: applied.append(text))
+        with pytest.raises(ValueError, match="defined for nonempty words"):
+            verify_occurrence_preservation(
+                Morphism.parse("a->ab;b->a"), word(""), word("ab"), 2
+            )
+        assert applied == []
 
     def test_monotone_counts_under_nonerasing(self):
         rng = random.Random(3)
