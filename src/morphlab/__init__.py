@@ -4,7 +4,6 @@ repeat structure of classic words."""
 from .errors import (
     AlphabetMismatchError,
     BudgetExceededError,
-    ErasingImageError,
     MorphlabError,
     NonInjectiveMorphismError,
 )
@@ -23,7 +22,6 @@ from .morphisms import Morphism
 from .interference import (
     InterferenceDecision,
     InterferenceWitness,
-    factorizable,
     is_inner_image_factor,
     is_interference_free_on,
     is_strongly_interference_free,

@@ -16,7 +16,7 @@ takes O(sum of |img|^2) time and memory once per morphism; building
 :attr:`~Morphism.image_ends`, which every decision does, takes the same
 order of time.  So :func:`p_pref_lengths` and :func:`p_suf_lengths` need
 only the two ends of w.  They serve the interference decision, which never
-builds w, ``interference.factorizable`` and the ``scan-debug`` command.
+builds w.
 Above ``morphisms.AFFIX_BUDGET`` characters the sets are refused with
 ``BudgetExceededError`` before they are built.  A decision reads them
 before ``image_ends``, so one image of 10^5 symbols raises at once instead
@@ -29,16 +29,7 @@ any more.
 
 from __future__ import annotations
 
-from .errors import ErasingImageError
 from .morphisms import Morphism
-
-
-def require_non_erasing(phi: Morphism) -> None:
-    """Image factorizations need nonempty images: raise ErasingImageError
-    naming the erased symbols otherwise."""
-    if not phi.is_non_erasing:
-        erased = ", ".join(c for c, img in phi.images if not img)
-        raise ErasingImageError(f"image factorizations need nonempty images; erased: {erased}")
 
 
 def p_pref_lengths(phi: Morphism, head: str) -> set[int]:

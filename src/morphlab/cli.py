@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: check-if, check-strong-if, check-recognizable, apply, occ,
-mus, netocc, gen, verify, scan-debug.  Word and morphism arguments
-are literals unless they start with ``@``, in which case the rest is a file
-path; a file of more than ``morphisms.LENGTH_BUDGET`` bytes is refused.
+mus, netocc, gen, verify.  Word and morphism arguments are literals unless
+they start with ``@``, in which case the rest is a file path; a file of
+more than ``morphisms.LENGTH_BUDGET`` bytes is refused.
 ``--format machine`` emits one ``key=value`` record per line (no nesting) so
 tests in any language can parse the output.
 
@@ -18,12 +18,11 @@ import sys
 from pathlib import Path
 
 from . import classic, repeats
-from .aho_corasick import p_pref_lengths, p_suf_lengths, require_non_erasing
 from .enumeration import is_recognizable_on
 from .errors import BudgetExceededError, MorphlabError
 from .interference import is_interference_free_on, is_strongly_interference_free
 from .morphisms import LENGTH_BUDGET, Morphism
-from .words import Word, find_all, occurrences, word
+from .words import Word, occurrences, word
 
 
 def _slurp(arg: str) -> str:
@@ -254,22 +253,6 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_scan_debug(args) -> int:
-    phi = _morphism_arg(args.morphism)
-    text = _word_arg(args.word).text
-    require_non_erasing(phi)
-    s: dict[int, list[str]] = {}  # 1-based start -> the images' symbols
-    for c, img in phi.images:
-        for start in find_all(img, text):
-            s.setdefault(start + 1, []).append(c)
-    for pos in sorted(s):
-        print(f"S[{pos}] = {','.join(sorted(s[pos]))}")
-    print(f"P_pref = {sorted(p_pref_lengths(phi, text))}")
-    print(f"P_suf = {sorted(len(text) + 1 - size for size in p_suf_lengths(phi, text))}")
-    print(f"occ = {sum(map(len, s.values()))}")
-    return 0
-
-
 # -- parser -------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,10 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=("fibonacci-mus", "tm-mus", "occ-preserve", "no-closed-form"))
     p.add_argument("--max-order", type=int)
-
-    p = add("scan-debug", _cmd_scan_debug, help="dump the scan artifacts S/P_pref/P_suf")
-    p.add_argument("--morphism", required=True)
-    p.add_argument("--word", required=True)
 
     return parser
 

@@ -18,10 +18,6 @@ class NonInjectiveMorphismError(MorphlabError, ValueError):
         self.witness = witness
 
 
-class ErasingImageError(MorphlabError, ValueError):
-    """An operation that requires a non-erasing morphism hit an empty image."""
-
-
 class BudgetExceededError(MorphlabError, RuntimeError):
     """A computation outgrew its budget: a brute-force enumeration, the
     proper image affix sets of a morphism with long images, an iterated

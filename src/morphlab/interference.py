@@ -111,8 +111,9 @@ slice by memo hits alone, and it is the object that the symbol-by-symbol
 run reaches (:class:`_Run`).  So the backtrack reads the same frames as a
 run that records every state, and slicing cannot change the witness.
 The masks of any position follow from the state of the step that covers
-it, and the backtrack applies the rule of the text-level DP
-(:func:`_forward_dp`, :func:`_backtrack`): from the accepting position it
+it, and the backtrack applies the rule of the text-level DP over the
+positions of w, which ``tests/test_interference.py`` keeps as the
+reference of every decision field: from the accepting position it
 takes the first predecessor in start order (the longest image first, then
 source order) that the witness's seed reaches, until it stands on that
 seed.  A stretch of the path along canonical cuts that the seed reaches
@@ -132,9 +133,6 @@ tuple cost as much as the rest of the decision.  F_25 (75,024 symbols of y)
 is now decided in 1.06 ms, against 2.02 ms with the tuple and the slices
 cut in Python (best of 40), and the decision's tracemalloc peak fell from
 711 KB to 122 KB.
-
-:func:`factorizable` reports the table C itself, so it runs the
-text-level DP over the positions of w (:func:`_forward_dp`).
 """
 
 from __future__ import annotations
@@ -146,11 +144,10 @@ from functools import reduce
 from itertools import accumulate
 from operator import getitem
 
-from .aho_corasick import p_pref_lengths, p_suf_lengths, require_non_erasing
+from .aho_corasick import p_pref_lengths, p_suf_lengths
 from .morphisms import Morphism
 from .words import Word
 
-_INF = 1 << 60
 _SLICE = 128  # symbols of u per memoized slice transition (see _run_automaton)
 _SUB = 16  # symbols per memoized sub-slice a slice is composed from (see _State)
 # cut a text into pieces of at most _SLICE (_SUB) symbols in C; re.S lets "."
@@ -195,20 +192,6 @@ class InterferenceWitness:
 
 
 @dataclass(frozen=True)
-class FactorizableResult:
-    admits: bool
-    x: str = ""
-    y: str = ""  # source symbols, as in InterferenceWitness
-    z: str = ""
-    table: tuple[int, ...] = ()  # C[0..n]: C[j] = 1 iff w[1..j] = x . y
-
-    y_symbols = InterferenceWitness.y_symbols
-
-    def __bool__(self) -> bool:
-        return self.admits
-
-
-@dataclass(frozen=True)
 class InnerFactorResult:
     found: bool
     host: str | None = None
@@ -237,48 +220,6 @@ class StrongInterferenceDecision:
         return self.interference_free
 
 
-def _forward_dp(text, images, seeds, accepts):
-    """Forward DP over the positions of ``text``.
-
-    Each reached position p, in increasing order, lowers the value at the
-    end of each image of ``images`` ((symbol, image) pairs, nonempty images)
-    that starts there, tested in the order given.  Every image ending at p
-    starts before p, so C[p] is final when p is read.
-
-    ``seeds`` maps a table index to the seed value it encodes; ``accepts`` are
-    candidate 1-based positions j (acceptance needs table index j-1 set).
-    Returns (the accepting j minimizing (value, j) or None, minseed, parent).
-    """
-    n = len(text)
-    minseed = [_INF] * (n + 1)
-    parent: list[tuple[int, str] | None] = [None] * (n + 1)
-    for idx, value in seeds.items():
-        minseed[idx] = value
-    for p, v in enumerate(minseed):  # reads the values lowered so far
-        if v < _INF:
-            for sym, img in images:
-                if text.startswith(img, p) and v < minseed[p + len(img)]:
-                    minseed[p + len(img)] = v
-                    parent[p + len(img)] = (p, sym)
-    best = None
-    for j in sorted(accepts):
-        v = minseed[j - 1]
-        if v < _INF and (best is None or v < best[0]):
-            best = (v, j)
-    return (None if best is None else best[1]), minseed, parent
-
-
-def _backtrack(text, j, parent):
-    """Recover (x, y, z) for the acceptance at j; y is a string of source
-    symbols."""
-    pos = j - 1
-    syms: list[str] = []
-    while parent[pos] is not None:
-        pos, sym = parent[pos]
-        syms.append(sym)
-    return text[:pos], "".join(reversed(syms)), text[j - 1:]
-
-
 def affix_donor(phi: Morphism, part: str, *, suffix: bool) -> str | None:
     """The smallest source symbol whose image has ``part`` as a proper
     suffix (or prefix); None for an empty part."""
@@ -286,24 +227,6 @@ def affix_donor(phi: Morphism, part: str, *, suffix: bool) -> str | None:
         return None
     fits = str.endswith if suffix else str.startswith
     return min(c for c, img in phi.images if len(img) > len(part) and fits(img, part))
-
-
-def factorizable(phi: Morphism, w: Word | str) -> FactorizableResult:
-    """True iff w = x . y . z with x a possibly-empty proper image suffix,
-    y a concatenation of images and z a NONEMPTY proper image prefix."""
-    text = str(w)
-    if not text:
-        raise ValueError("factorizable is defined for nonempty words")
-    require_non_erasing(phi)
-    seeds = {i: i for i in p_pref_lengths(phi, text)}
-    seeds[0] = 0
-    accepts = {len(text) + 1 - size for size in p_suf_lengths(phi, text)}
-    j, minseed, parent = _forward_dp(text, phi.images, seeds, accepts)
-    table = tuple(1 if v < _INF else 0 for v in minseed)
-    if j is None:
-        return FactorizableResult(False, table=table)
-    x, y, z = _backtrack(text, j, parent)
-    return FactorizableResult(True, x=x, y=y, z=z, table=table)
 
 
 def is_inner_image_factor(phi: Morphism, w: Word | str) -> InnerFactorResult:
@@ -482,10 +405,10 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
 
     Each step takes the first predecessor in start order (the longest image
     first, then source order) that the seed reaches.  That is the rule of
-    :func:`_backtrack`, which takes the first predecessor with the same
-    value: the smallest (largest) seed at a match's end is at most (at
-    least) the one at its start, so a predecessor that the seed reaches has
-    the seed's value.
+    the backtrack of the reference DP in ``tests/test_interference.py``,
+    which takes the first predecessor with the same value: the smallest
+    (largest) seed at a match's end is at most (at least) the one at its
+    start, so a predecessor that the seed reaches has the seed's value.
 
     The walk reads the states of the symbol-by-symbol run, rebuilt from the
     slice ends by :meth:`_Run.state`, so slicing the run cannot change the

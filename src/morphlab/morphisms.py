@@ -220,10 +220,6 @@ class Morphism:
     # -- structural predicates ------------------------------------------------
 
     @cached_property
-    def is_non_erasing(self) -> bool:
-        return all(img for _, img in self.images)
-
-    @cached_property
     def injectivity_witness(self) -> tuple[Word, Word] | None:
         """None when injective; otherwise a canonical pair of distinct source
         words with equal images.

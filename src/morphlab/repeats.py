@@ -204,37 +204,6 @@ def _sais(s: list[int], upper: int) -> list[int]:
     return sa
 
 
-def lcp_array(text: str, sa: list[int]) -> list[int]:
-    """Kasai's algorithm: lcp[k] = LCP of suffixes sa[k-1] and sa[k].
-
-    The symbols are compared as a list ending in ``None``, which equals no
-    symbol, so a comparison stops at the end of the shorter suffix without a
-    bounds test (two distinct suffixes never reach the end together).
-
-    Nothing in the library calls it: ``shortest_unique_lengths`` finds its
-    LCPs in text order.  It is kept for the tests, which check it against
-    the definition, and for the benchmark's tracer, which wraps it by
-    name."""
-    n = len(text)
-    rank = [0] * n
-    for r, i in enumerate(sa):
-        rank[i] = r
-    s = [*text, None]
-    lcp = [0] * n
-    h = 0
-    for i, r in enumerate(rank):
-        if r:
-            j = sa[r - 1]
-            while s[i + h] == s[j + h]:
-                h += 1
-            lcp[r] = h
-            if h:
-                h -= 1
-        else:
-            h = 0
-    return lcp
-
-
 def shortest_unique_lengths(text: str) -> list[int]:
     """l[i] = length of the shortest unique substring starting at 0-based i,
     or _INF when every substring starting at i is repeated.

@@ -117,7 +117,6 @@ def word(text: str, alphabet: Alphabet | None = None) -> Word:
 class OccurrenceSet:
     """Starting positions (1-based, strictly increasing) of a pattern in a text."""
 
-    pattern_length: int
     positions: tuple[int, ...]
 
     def __post_init__(self):
@@ -165,7 +164,7 @@ def find_all(pattern: str, text: str) -> list[int]:
 def occurrences(u: Word, w: Word) -> OccurrenceSet:
     """Occurrence set of ``u`` in ``w`` (1-based starting positions)."""
     _check_same_alphabet(u, w)
-    return OccurrenceSet(len(u), tuple(i + 1 for i in find_all(u.text, w.text)))
+    return OccurrenceSet(tuple(i + 1 for i in find_all(u.text, w.text)))
 
 
 def occ_count(u: Word, w: Word) -> int:
@@ -178,11 +177,11 @@ def naive_occurrences(u: Word, w: Word) -> OccurrenceSet:
     _check_same_alphabet(u, w)
     m, ut, wt = len(u), u.text, w.text
     if m == 0:
-        return OccurrenceSet(0, tuple(range(1, len(wt) + 2)))
+        return OccurrenceSet(tuple(range(1, len(wt) + 2)))
     positions = tuple(
         i + 1 for i in range(len(wt) - m + 1) if wt[i : i + m] == ut
     )
-    return OccurrenceSet(m, positions)
+    return OccurrenceSet(positions)
 
 
 def flip(w: Word) -> Word:

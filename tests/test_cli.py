@@ -228,41 +228,12 @@ class TestBenchAndScanDebug:
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    def test_scan_debug(self, capsys):
-        code, out, _ = run(capsys, "scan-debug", "--morphism", "a->ab;b->a",
-                           "--word", "abaababa")
-        assert code == 0
-        assert out.splitlines() == [
-            "S[1] = a,b",
-            "S[3] = b",
-            "S[4] = a,b",
-            "S[6] = a,b",
-            "S[8] = b",
-            "P_pref = []",
-            "P_suf = [8]",
-            "occ = 8",
-        ]
-
-    def test_scan_debug_equal_images(self, capsys):
-        # b is listed before a; each S line lists its symbols sorted
-        code, out, _ = run(capsys, "scan-debug", "--morphism", "b->bb;a->bb",
-                           "--word", "bbbb")
-        assert code == 0
-        assert out.splitlines() == [
-            "S[1] = a,b",
-            "S[2] = a,b",
-            "S[3] = a,b",
-            "P_pref = [1]",
-            "P_suf = [4]",
-            "occ = 6",
-        ]
-
-    def test_scan_debug_rejects_erasing(self, capsys):
-        code, out, err = run(capsys, "scan-debug", "--morphism", "a->ab;b->.",
-                             "--word", "ab")
-        assert code == 2
-        assert out == ""
-        assert "erased: b" in err
+    def test_scan_debug_is_an_unknown_subcommand(self, capsys):
+        # the decision reads no text-level scan, so there is nothing to dump
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-debug", "--morphism", "a->ab;b->a", "--word", "abaababa"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'scan-debug'" in capsys.readouterr().err
 
 
 def test_machine_line_roundtrip():

@@ -1,8 +1,10 @@
 """The package is pure Python with no dependencies (``dependencies = []`` in
 pyproject.toml): every module of src/morphlab imports only the standard
 library and its own package.  Its public surface has a pinned set of
-defaulted parameters, and no module reads the environment."""
+names, CLI subcommands and defaulted parameters, and no module reads the
+environment."""
 
+import argparse
 import ast
 import inspect
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import morphlab
+from morphlab import cli
 
 MODULES = sorted((Path(__file__).parent.parent / "src" / "morphlab").glob("*.py"))
 
@@ -61,6 +64,40 @@ def test_defaulted_public_parameters_are_pinned():
         "verify_occ_lemmas(max_lpp)",
         "verify_occurrence_preservation(k)",
         "word(alphabet)",
+    }
+
+
+def test_public_names_are_pinned():
+    # a name leaves or joins the package's surface only on purpose
+    assert sorted(morphlab.__all__) == [
+        "Alphabet", "AlphabetMismatchError", "BINARY", "BudgetExceededError",
+        "CircularFactorization", "FIBONACCI", "InterferenceDecision",
+        "InterferenceWitness", "Morphism", "MorphlabError", "MusOccurrence",
+        "NAMED_MORPHISMS", "NetOccurrence", "NonInjectiveMorphismError",
+        "OccurrenceSet", "PreservationReport", "RecognizabilityDecision",
+        "THUE_MORSE", "Word", "aho_corasick", "brute_force_is_interference_free",
+        "classic", "compute_mus", "compute_net_occurrences",
+        "count_circular_factorizations", "count_image_factorizations",
+        "enumerate_circular_factorizations", "enumerate_image_factorizations",
+        "enumerate_interfered_factorizations", "enumeration", "errors",
+        "extensions", "fibonacci_G", "fibonacci_alpha", "fibonacci_delta",
+        "fibonacci_number", "fibonacci_word", "flip", "interference",
+        "is_inner_image_factor", "is_interference_free_on", "is_recognizable_on",
+        "is_strongly_interference_free", "longest_proper_prefix", "morphisms",
+        "mus_to_net", "naive_mus", "naive_net_occurrences", "occ_count",
+        "occurrences", "repeats", "structural_checks", "thue_morse_word",
+        "verify_fibonacci_mus", "verify_net_closed_forms", "verify_occ_lemmas",
+        "verify_occurrence_preservation", "verify_tm_mus", "word", "words",
+    ]
+
+
+def test_cli_subcommands_are_pinned():
+    # a subcommand returns to the command line only on purpose
+    (subcommands,) = [action.choices for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert set(subcommands) == {
+        "check-if", "check-strong-if", "check-recognizable", "apply", "occ",
+        "mus", "netocc", "gen", "verify",
     }
 
 

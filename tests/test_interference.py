@@ -17,7 +17,6 @@ from morphlab import (
     brute_force_is_interference_free,
     count_image_factorizations,
     enumerate_interfered_factorizations,
-    factorizable,
     fibonacci_word,
     is_inner_image_factor,
     is_interference_free_on,
@@ -27,17 +26,14 @@ from morphlab import (
 )
 from morphlab import interference
 from morphlab.aho_corasick import p_pref_lengths, p_suf_lengths
-from morphlab.errors import ErasingImageError, NonInjectiveMorphismError
+from morphlab.errors import NonInjectiveMorphismError
 from morphlab.interference import (
     _SLICE,
     _SUB,
     INNER_IMAGE_FACTOR,
     INTERFERED_FACTORIZATION,
-    FactorizableResult,
     InterferenceDecision,
     InterferenceWitness,
-    _backtrack,
-    _forward_dp,
     affix_donor,
 )
 
@@ -50,6 +46,67 @@ TM = Morphism.parse("a->ab;b->ba")
 def reassembles(phi, witness, text):
     y = "".join(phi.image_map[c] for c in witness.y_symbols)
     return witness.x + y + witness.z == text
+
+
+# The text-level DP over the positions of phi(u): the independent reference
+# that the window automaton of ``interference`` must reproduce.
+_INF = 1 << 60
+
+
+def _forward_dp(text, images, seeds, accepts):
+    """Forward DP over the positions of ``text``.
+
+    Each reached position p, in increasing order, lowers the value at the
+    end of each image of ``images`` ((symbol, image) pairs, nonempty images)
+    that starts there, tested in the order given.  Every image ending at p
+    starts before p, so C[p] is final when p is read.
+
+    ``seeds`` maps a table index to the seed value it encodes; ``accepts`` are
+    candidate 1-based positions j (acceptance needs table index j-1 set).
+    Returns (the accepting j minimizing (value, j) or None, minseed, parent).
+    """
+    n = len(text)
+    minseed = [_INF] * (n + 1)
+    parent: list[tuple[int, str] | None] = [None] * (n + 1)
+    for idx, value in seeds.items():
+        minseed[idx] = value
+    for p, v in enumerate(minseed):  # reads the values lowered so far
+        if v < _INF:
+            for sym, img in images:
+                if text.startswith(img, p) and v < minseed[p + len(img)]:
+                    minseed[p + len(img)] = v
+                    parent[p + len(img)] = (p, sym)
+    best = None
+    for j in sorted(accepts):
+        v = minseed[j - 1]
+        if v < _INF and (best is None or v < best[0]):
+            best = (v, j)
+    return (None if best is None else best[1]), minseed, parent
+
+
+def _backtrack(text, j, parent):
+    """Recover (x, y, z) for the acceptance at j; y is a string of source
+    symbols."""
+    pos = j - 1
+    syms: list[str] = []
+    while parent[pos] is not None:
+        pos, sym = parent[pos]
+        syms.append(sym)
+    return text[:pos], "".join(reversed(syms)), text[j - 1:]
+
+
+def reference_factorizable(phi, text):
+    """(table, witness) of pass 1 of the reference DP on ``text``: the table
+    C[0..n] has C[j] = 1 iff text[:j] = x . y, x empty or a proper image
+    suffix, and the witness is the (x, y, z) with z a NONEMPTY proper image
+    prefix, y a string of source symbols, of smallest |x| and then leftmost
+    acceptance, or None when there is none."""
+    seeds = {i: i for i in p_pref_lengths(phi, text)}
+    seeds[0] = 0
+    accepts = {len(text) + 1 - size for size in p_suf_lengths(phi, text)}
+    j, minseed, parent = _forward_dp(text, phi.images, seeds, accepts)
+    table = tuple(1 if v < _INF else 0 for v in minseed)
+    return table, (None if j is None else _backtrack(text, j, parent))
 
 
 @st.composite
@@ -68,35 +125,36 @@ def morphism_and_text(draw):
 
 
 class TestFactorizable:
+    """The reference DP's pass 1, which decides whether a text admits an
+    interfered factorization with z nonempty, and its table C."""
+
     def test_fibonacci_aba(self):
-        result = factorizable(FIB, "aba")
-        assert result
-        assert result.x == "" and result.z == "a"
-        assert "".join(result.y_symbols) == "a"
+        _, witness = reference_factorizable(FIB, "aba")
+        assert witness == ("", "a", "a")
 
     def test_thue_morse_abab(self):
-        result = factorizable(TM, "abab")
-        assert result
-        assert result.x + "".join(
-            TM.image_map[c] for c in result.y_symbols
-        ) + result.z == "abab"
+        _, witness = reference_factorizable(TM, "abab")
+        assert witness is not None
+        x, y, z = witness
+        assert x + TM.apply_text(y) + z == "abab"
 
     def test_thue_morse_abba_not_factorizable(self):
-        result = factorizable(TM, "abba")
-        assert not result
-        assert result.table == (1, 1, 1, 0, 1)
+        table, witness = reference_factorizable(TM, "abba")
+        assert witness is None
+        assert table == (1, 1, 1, 0, 1)
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(morphism_and_text())
     def test_agrees_with_enumeration(self, case):
         phi, text = case
-        result = factorizable(phi, text)
+        table, witness = reference_factorizable(phi, text)
         witnesses = enumerate_interfered_factorizations(phi, text)
-        assert result.admits == any(w.z for w in witnesses)
-        if result:
-            assert result.x == "" or result.x in phi.proper_image_suffixes
-            assert result.z in phi.proper_image_prefixes
-            assert reassembles(phi, result, text)
+        assert (witness is not None) == any(w.z for w in witnesses)
+        if witness is not None:
+            x, y, z = witness
+            assert x == "" or x in phi.proper_image_suffixes
+            assert z in phi.proper_image_prefixes
+            assert x + phi.apply_text(y) + z == text
         # C[j] = 1 iff text[:j] = x . y, x empty or a proper image suffix
         xs = ("", *phi.proper_image_suffixes)
         bits = tuple(
@@ -107,7 +165,7 @@ class TestFactorizable:
             ))
             for j in range(len(text) + 1)
         )
-        assert result.table == bits
+        assert table == bits
 
     @pytest.mark.parametrize(
         "spec, text, x, y_symbols, z, bits",
@@ -121,18 +179,9 @@ class TestFactorizable:
         ],
     )
     def test_pinned_results(self, spec, text, x, y_symbols, z, bits):
-        result = factorizable(Morphism.parse(spec), text)
-        assert result.admits
-        assert (result.x, result.y_symbols, result.z) == (x, y_symbols, z)
-        assert result.table == bits
-
-    def test_requires_non_erasing(self):
-        with pytest.raises(ErasingImageError):
-            factorizable(Morphism.parse("a->ab;b->."), "ab")
-
-    def test_rejects_empty_word(self):
-        with pytest.raises(ValueError):
-            factorizable(FIB, "")
+        table, witness = reference_factorizable(Morphism.parse(spec), text)
+        assert witness == (x, "".join(y_symbols), z)
+        assert table == bits
 
 
 class TestInnerFactor:
@@ -395,7 +444,7 @@ def _edge_morphisms():
 def test_slices_cut_every_symbol(n):
     # every decision field equals the DP over the positions of phi(u), on a
     # random word and on a word built by phi, whose slices repeat; when z is
-    # nonempty the witness is the one factorizable finds on phi(u)
+    # nonempty the witness is the one the reference's pass 1 finds on phi(u)
     rng = random.Random(n)
     kinds = set()
     for phi in _edge_morphisms():
@@ -406,13 +455,13 @@ def test_slices_cut_every_symbol(n):
             image = phi.apply_text(text)
             w = got.witness
             kinds.add("if" if w is None else (w.kind, bool(w.z)))
-            fact = factorizable(phi, image)
+            _, fact = reference_factorizable(phi, image)
             if w is not None and w.kind == INTERFERED_FACTORIZATION:
                 assert w.x + phi.apply_text(w.y) + w.z == image
                 if w.z:
-                    assert (fact.x, fact.y, fact.z) == (w.x, w.y, w.z)
+                    assert fact == (w.x, w.y, w.z)
                     continue
-            assert not fact
+            assert fact is None
     assert kinds == {"if", (INTERFERED_FACTORIZATION, True),
                      (INTERFERED_FACTORIZATION, False)}, kinds
 
@@ -558,10 +607,7 @@ class TestPinnedWitnesses:
         assert w == InterferenceWitness(
             INTERFERED_FACTORIZATION, x="", y="abaa", z="a", donor_z="a")
         assert "y='abaa'" in repr(w) and "y_symbols" not in repr(w)
-        for cls in (InterferenceWitness, FactorizableResult):
-            assert [f.name for f in fields(cls) if f.name.startswith("y")] == ["y"]
-        result = factorizable(FIB, "aba")
-        assert type(result.y) is str and result.y_symbols == tuple(result.y) == ("a",)
+        assert [f.name for f in fields(InterferenceWitness) if f.name.startswith("y")] == ["y"]
 
     def test_not_if_witness_is_one_string(self):
         # the NOT-IF witness on F_25 holds y, 75,024 symbols, as one string:

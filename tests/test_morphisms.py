@@ -29,7 +29,6 @@ class TestParseFormat:
     def test_parse_epsilon(self):
         m = Morphism.parse("a->ab;b->.")
         assert m.image_map["b"] == ""
-        assert not m.is_non_erasing
 
     def test_parse_ignores_whitespace(self):
         assert Morphism.parse(" a -> ab ; b -> a ") == FIB

@@ -32,7 +32,6 @@ from morphlab.errors import BudgetExceededError, NonInjectiveMorphismError
 from morphlab.repeats import (
     MusOccurrence,
     NetOccurrence,
-    lcp_array,
     shortest_unique_lengths,
     suffix_array,
 )
@@ -55,19 +54,6 @@ EDGE_ALPHABETS = (EDGE_SYMBOLS, "a")
 edge_texts = st.sampled_from(EDGE_ALPHABETS).flatmap(
     lambda alphabet: st.text(alphabet=alphabet, min_size=1, max_size=60)
 )
-
-
-def lcp_by_definition(text, sa):
-    """lcp[k] from comparing suffixes sa[k - 1] and sa[k] symbol by symbol;
-    lcp[0] = 0."""
-    out = [0]
-    for k in range(1, len(text)):
-        a, b = text[sa[k - 1] :], text[sa[k] :]
-        h = 0
-        while h < min(len(a), len(b)) and a[h] == b[h]:
-            h += 1
-        out.append(h)
-    return out
 
 
 class TestSuffixStructures:
@@ -111,19 +97,6 @@ class TestSuffixStructures:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-
-    @given(binary_texts)
-    def test_lcp_matches_definition(self, text):
-        sa = suffix_array(text)
-        assert lcp_array(text, sa) == lcp_by_definition(text, sa)
-
-    @given(edge_texts)
-    @example("a")
-    @example("a" * 60)
-    @example("\0" * 5 + "\U0001F600\0")
-    def test_lcp_matches_definition_on_edge_alphabets(self, text):
-        sa = suffix_array(text)
-        assert lcp_array(text, sa) == lcp_by_definition(text, sa)
 
     @given(edge_texts)
     @example("a" * 60)
@@ -518,15 +491,15 @@ class TestResultTypes:
 
 
 class TestTracedStages:
-    """The benchmark's per-layer trace wraps ``repeats.suffix_array``,
-    ``repeats.lcp_array`` and ``repeats.shortest_unique_lengths`` as module
-    attributes; a refactor that stops calling one of them through its module
-    name would leave that row reading 0.  ``shortest_unique_lengths`` finds
-    its LCPs in text order, so ``lcp_array`` is not called."""
+    """The benchmark's per-layer trace wraps ``repeats.suffix_array`` and
+    ``repeats.shortest_unique_lengths`` as module attributes; a refactor
+    that stops calling one of them through its module name would leave that
+    row reading 0."""
 
     def test_mus_then_net_calls_each_stage_once(self, monkeypatch):
         calls = Counter()
-        for name in ("suffix_array", "lcp_array", "shortest_unique_lengths"):
+        stages = ("suffix_array", "shortest_unique_lengths")
+        for name in stages:
             original = getattr(repeats, name)
 
             def counting(*args, _name=name, _original=original):
@@ -541,10 +514,8 @@ class TestTracedStages:
             assert compute_net_occurrences(w) == naive_net_occurrences(w)
         finally:
             repeats._mus_intervals.cache_clear()
-        stages = ("suffix_array", "lcp_array", "shortest_unique_lengths")
         assert {name: calls[name] for name in stages} == {
             "suffix_array": 1,
-            "lcp_array": 0,
             "shortest_unique_lengths": 1,
         }
 

@@ -97,7 +97,6 @@ class TestOccurrences:
     def test_empty_pattern_convention(self):
         occ = occurrences(word(""), word("ab"))
         assert tuple(occ) == (1, 2, 3)
-        assert occ.pattern_length == 0
 
     def test_occ_count_fixture(self):
         assert occ_count(word("aba"), word("abaababa")) == 3
@@ -109,9 +108,9 @@ class TestOccurrences:
 
     def test_occurrence_set_validation(self):
         with pytest.raises(ValueError):
-            OccurrenceSet(1, (3, 2))
+            OccurrenceSet((3, 2))
         with pytest.raises(ValueError):
-            OccurrenceSet(1, (0,))
+            OccurrenceSet((0,))
 
     def test_serialize(self):
         assert occurrences(word("a"), word("aba")).serialize() == "1,3"
