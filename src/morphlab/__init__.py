@@ -47,7 +47,6 @@ from .classic import (
     fibonacci_delta,
     fibonacci_number,
     fibonacci_word,
-    structural_checks,
     thue_morse_word,
 )
 from .repeats import (
@@ -59,6 +58,7 @@ from .repeats import (
     mus_to_net,
     naive_mus,
     naive_net_occurrences,
+    structural_checks,
     verify_fibonacci_mus,
     verify_net_closed_forms,
     verify_occ_lemmas,

@@ -7,11 +7,11 @@ output length); morphism iteration is kept as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .morphisms import Morphism
-from .words import BINARY, Word, flip, occ_count, occurrences
+from .words import BINARY, Word, flip
 
 #: Index caps, read at each call; f_30 = 832040 and 2^21 symbols are desk scale.
 MAX_FIBONACCI_ORDER = 30
@@ -114,37 +114,3 @@ def extensions(w: Word) -> set[Word]:
         raise ValueError("extensions are defined over a binary alphabet")
     a, b = w.alphabet.symbols
     return {Word(l + w.text + r, w.alphabet) for l in (a, b) for r in (a, b)}
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    i_max: int
-    failures: tuple[str, ...] = field(default=())
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def structural_checks(i_max: int) -> StructuralReport:
-    """Check the classic Fibonacci-word facts for 3 <= i <= i_max:
-    no aaa or bb factor, F_i = G_i . Delta_i, and for i >= 7 that G_{i-1}
-    occurs in F_i exactly at positions 1 and f_{i-2} + 1."""
-    if i_max < 7:
-        raise ValueError(f"structural checks need i_max >= 7, got {i_max}")
-    failures: list[str] = []
-    aaa, bb = Word("aaa"), Word("bb")
-    for i in range(3, i_max + 1):
-        f_i = fibonacci_word(i)
-        if occ_count(aaa, f_i):
-            failures.append(f"aaa occurs in F_{i}")
-        if occ_count(bb, f_i):
-            failures.append(f"bb occurs in F_{i}")
-        if (fibonacci_G(i) + fibonacci_delta(i)).text != f_i.text:
-            failures.append(f"F_{i} != G_{i} . Delta_{i}")
-        if i >= 7:
-            got = tuple(occurrences(fibonacci_G(i - 1), f_i))
-            want = (1, fibonacci_number(i - 2) + 1)
-            if got != want:
-                failures.append(f"Occ(G_{i - 1}, F_{i}) = {got}, expected {want}")
-    return StructuralReport(i_max, tuple(failures))

@@ -51,15 +51,6 @@ def machine_line(**fields) -> str:
     return " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def parse_machine_line(line: str) -> dict[str, str]:
-    """Inverse of :func:`machine_line` for round-trip tests."""
-    out: dict[str, str] = {}
-    for part in line.split():
-        k, _, v = part.partition("=")
-        out[k] = v
-    return out
-
-
 def _emit(args, human: str, **fields) -> None:
     print(machine_line(**fields) if args.format == "machine" else human)
 

@@ -92,17 +92,17 @@ def _decompositions(text: str, images, start: int, end: int, memo) -> list[tuple
     return out
 
 
-def count_image_factorizations(phi: Morphism, w: Word | str) -> int:
-    text = str(w)
+def count_image_factorizations(phi: Morphism, text: str) -> int:
+    """Number of source-symbol sequences whose images concatenate to
+    ``text``, by counting DP."""
     return _decomposition_counts(text, phi.images, 0)[len(text)]
 
 
-def enumerate_image_factorizations(phi: Morphism, w: Word | str) -> list[tuple[str, ...]]:
-    """All source-symbol sequences whose images concatenate to w.
+def enumerate_image_factorizations(phi: Morphism, text: str) -> list[tuple[str, ...]]:
+    """All source-symbol sequences whose images concatenate to ``text``.
 
     The empty word yields the single empty sequence.
     """
-    text = str(w)
     _check_length(text)
     total = count_image_factorizations(phi, text)
     if total > FACTORIZATION_BUDGET:
@@ -110,12 +110,10 @@ def enumerate_image_factorizations(phi: Morphism, w: Word | str) -> list[tuple[s
     return _decompositions(text, phi.images, 0, len(text), {})
 
 
-def enumerate_interfered_factorizations(
-    phi: Morphism, w: Word | str
-) -> list[InterferenceWitness]:
-    """All interfered factorizations x . y . z of w, by exhaustive cut
-    enumeration over proper image suffixes x and proper image prefixes z."""
-    text = str(w)
+def enumerate_interfered_factorizations(phi: Morphism, text: str) -> list[InterferenceWitness]:
+    """All interfered factorizations x . y . z of ``text``, by exhaustive
+    cut enumeration over proper image suffixes x and proper image prefixes
+    z."""
     if not text:
         raise ValueError("interfered factorizations are defined for nonempty words")
     _check_length(text)
@@ -160,10 +158,8 @@ def _splits(phi: Morphism):
             yield img[:k], img[k:], c
 
 
-def enumerate_circular_factorizations(
-    phi: Morphism, w: Word | str
-) -> list[CircularFactorization]:
-    text = str(w)
+def enumerate_circular_factorizations(phi: Morphism, text: str) -> list[CircularFactorization]:
+    """All circular factorizations q . r . p of ``text``."""
     if not text:
         raise ValueError("circular factorizations are defined for nonempty words")
     _check_length(text)
@@ -184,10 +180,9 @@ def enumerate_circular_factorizations(
     return out
 
 
-def count_circular_factorizations(phi: Morphism, w: Word | str) -> int:
-    """Number of circular factorizations of w, via counting DP (no
+def count_circular_factorizations(phi: Morphism, text: str) -> int:
+    """Number of circular factorizations of ``text``, via counting DP (no
     materialization)."""
-    text = str(w)
     if not text:
         raise ValueError("circular factorizations are defined for nonempty words")
     n = len(text)

@@ -69,8 +69,10 @@ P_pref and P_suf come from :func:`aho_corasick.p_pref_lengths` and
 :func:`aho_corasick.p_suf_lengths`, which look up the prefixes of phi of
 the first max|img| symbols of u among the morphism's proper image suffixes,
 and the suffixes of phi of the last max|img| symbols among its proper image
-prefixes.  So phi is applied to at most 2 max|img| symbols of u; P_suf is
-computed only when a position it could accept is reached.
+prefixes.  So phi is applied to at most 2 max|img| symbols of u, also when
+u's alphabet has a symbol with no image: the first such symbol of u is
+found by one ``str.find`` per imageless symbol.  P_suf is computed only
+when a position it could accept is reached.
 Only |phi(u)| <= max|img| - 2 permits the inner kind, and then phi(u) is
 that head.
 
@@ -85,25 +87,13 @@ included).  So the decision runs about |u| / ``_SLICE`` slice lookups
 ``_SUB`` sub-slice lookups if its first sub-slice is stored, else one
 stored sub-slice and ``_SLICE`` symbol lookups; ``_SUB`` symbol lookups
 per distinct (state, sub-slice) pair; and O(k max|img|) Python work per
-distinct (state, symbol) pair, for a morphism with k images.  On a word built by a morphism
-the slices repeat (F_n has at most ``_SLICE`` + 1 distinct factors of that
-length) and the sub-slices more: in the 16 decisions of the benchmark's
-``classic-if`` workload 1,352 of 13,568 slice lookups miss, 88% of the
-misses are composed from sub-slices, and 99% of their sub-slice lookups
-hit.  One decision on F_25 (75,025 symbols) composes 1,761 symbol steps,
-where composing each slice from its symbols took 16,785.  On a word whose
+distinct (state, symbol) pair, for a morphism with k images.  On a word
+built by a morphism the slices repeat (F_n has at most ``_SLICE`` + 1
+distinct factors of that length) and the sub-slices more: one decision on
+F_25 (75,025 symbols) composes 1,761 symbol steps.  On a word whose
 sub-slices never repeat (random binary or ternary words) no missed slice
 finds its first sub-slice, so each costs one more dict lookup, one stored
-sub-slice and two string copies.  A decision on such a word of 10^4 or 10^5
-symbols takes about 8-11% longer than when each missed slice is composed
-from its symbols (2-core machine, in-process paired medians); composing
-every missed slice from its sub-slices made it take about twice as long.
-Cut by generator expressions of string slices, the 13,568 slices and the
-sub-slices of a ``classic-if`` pass cost more than the memo hits they fed.
-Cutting them in C, with the witness below kept as a string, made the 16
-decisions of that workload 1.44 times as fast (median of 300 interleaved
-in-process rounds, 2-core machine), and decisions on random binary and
-ternary words of 10^4 and 10^5 symbols 2-6% faster.
+sub-slice and two string copies.
 
 **The witness.**  The run keeps the state after each slice; the state
 after any other prefix of u is rebuilt from the state at the start of its
@@ -128,11 +118,7 @@ rule picks that occurrence at every one of these cuts.
 
 The witness keeps y as one string of source symbols: the backtrack joins
 its chunks once, and :attr:`InterferenceWitness.y_symbols` builds the tuple
-of one-symbol strings only when it is read.  On a long NOT-IF word that
-tuple cost as much as the rest of the decision.  F_25 (75,024 symbols of y)
-is now decided in 1.06 ms, against 2.02 ms with the tuple and the slices
-cut in Python (best of 40), and the decision's tracemalloc peak fell from
-711 KB to 122 KB.
+of one-symbol strings only when it is read.
 """
 
 from __future__ import annotations
@@ -145,6 +131,7 @@ from itertools import accumulate
 from operator import getitem
 
 from .aho_corasick import p_pref_lengths, p_suf_lengths
+from .errors import AlphabetMismatchError
 from .morphisms import Morphism
 from .words import Word
 
@@ -192,16 +179,6 @@ class InterferenceWitness:
 
 
 @dataclass(frozen=True)
-class InnerFactorResult:
-    found: bool
-    host: str | None = None
-    offset: int | None = None  # 1-based start inside the host image
-
-    def __bool__(self) -> bool:
-        return self.found
-
-
-@dataclass(frozen=True)
 class InterferenceDecision:
     interference_free: bool
     witness: InterferenceWitness | None = None
@@ -229,17 +206,18 @@ def affix_donor(phi: Morphism, part: str, *, suffix: bool) -> str | None:
     return min(c for c, img in phi.images if len(img) > len(part) and fits(img, part))
 
 
-def is_inner_image_factor(phi: Morphism, w: Word | str) -> InnerFactorResult:
-    """True iff w occurs strictly inside some image, touching neither end."""
-    text = str(w)
+def is_inner_image_factor(phi: Morphism, text: str) -> InterferenceWitness | None:
+    """The inner-kind witness when ``text`` occurs strictly inside some
+    image, touching neither end: the first such image in source order, at
+    its first such occurrence; else None."""
     if not text:
         raise ValueError("inner-factor check is defined for nonempty words")
     for c, img in phi.images:
         limit = len(img) - len(text) - 1  # last admissible 0-based start
         start = img.find(text, 1)
         if 0 < start <= limit:
-            return InnerFactorResult(True, host=c, offset=start + 1)
-    return InnerFactorResult(False)
+            return InterferenceWitness(INNER_IMAGE_FACTOR, host=c, offset=start + 1)
+    return None
 
 
 class _State(dict):
@@ -462,13 +440,18 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
 
 def is_interference_free_on(phi: Morphism, u: Word) -> InterferenceDecision:
     """Decide interference-freeness of the injective phi on the single
-    nonempty word u."""
+    nonempty word u.  A symbol of u with no image raises
+    ``AlphabetMismatchError``, which names the first such symbol of u."""
     phi.require_injective("interference-freeness")
     if len(u) == 0:
         raise ValueError("interference-freeness is defined for nonempty words")
     text = u.text
     if not u.alphabet._symbol_set <= phi.image_map.keys():
-        phi.apply_text(text)  # raises for the first symbol without an image
+        # the first symbol of u without an image, found without applying phi
+        missing = u.alphabet._symbol_set - phi.image_map.keys()
+        first = min(((i, c) for c in missing if (i := text.find(c)) >= 0), default=None)
+        if first:
+            raise AlphabetMismatchError(f"symbol {first[1]!r} has no image")
     size = phi.max_image_length
     head = phi.apply_text(text[:size])
     p_pref = p_pref_lengths(phi, head)
@@ -497,13 +480,8 @@ def is_interference_free_on(phi: Morphism, u: Word) -> InterferenceDecision:
     else:
         # the inner kind needs |phi(u)| <= max|img| - 2: then phi(u) == head,
         # while a longer u has |head| >= max|img|
-        inner = is_inner_image_factor(phi, head) if len(head) <= size - 2 else None
-        if inner:
-            witness = InterferenceWitness(
-                INNER_IMAGE_FACTOR, host=inner.host, offset=inner.offset
-            )
-            return InterferenceDecision(False, witness)
-        return InterferenceDecision(True)
+        witness = is_inner_image_factor(phi, head) if len(head) <= size - 2 else None
+        return InterferenceDecision(witness is None, witness)
     witness = InterferenceWitness(
         INTERFERED_FACTORIZATION,
         x=x,

@@ -505,9 +505,7 @@ def verify_tm_mus(i_range) -> VerificationReport:
     return VerificationReport("tm-mus", tuple(instances))
 
 
-def verify_net_closed_forms(
-    fib_range=range(7, 19), tm_range=range(5, 15)
-) -> VerificationReport:
+def verify_net_closed_forms(fib_range, tm_range) -> VerificationReport:
     """Net occurrences of F_i are the two occurrences of G_{i-1} plus the last
     occurrence of F_{i-2}; those of tm_i are all occurrences of tm_{i-2},
     flip(tm_{i-2}), tm_{i-4} . flip(tm_{i-3}) and flip(tm_{i-4}) . tm_{i-3}."""
@@ -538,21 +536,20 @@ def verify_net_closed_forms(
     return VerificationReport("no-closed-form", tuple(instances))
 
 
-def verify_occ_lemmas(
-    max_fib: int = 20, max_tm: int = 14, max_lpp: int = 18
-) -> VerificationReport:
+def verify_occ_lemmas() -> VerificationReport:
     """Occurrence-count constancy: occ(F_{i-d}, F_i) is independent of i for
-    each offset d (with i - d >= 4), likewise occ(tm_{i-d}, tm_i) and its
-    flipped variant (i - d >= 2), and occ(lpp(F_k), F_i) = occ(F_k, F_i) for
-    5 <= k <= i <= max_lpp, where lpp drops the last symbol.
+    each offset d (with i - d >= 4, i <= 20), likewise occ(tm_{i-d}, tm_i)
+    and its flipped variant (i - d >= 2, i <= 14), and occ(lpp(F_k), F_i) =
+    occ(F_k, F_i) for 5 <= k <= i <= 18, where lpp drops the last symbol.
 
     Indices follow ``classic``: F_1 = b, F_2 = a.  At k = 4 the equality is
     false and the exact relation occ(ab, F_i) = occ(aba, F_i) + (i mod 2) is
-    checked for 4 <= i <= max_lpp instead.  Proof: bb is not a factor of any
+    checked for 4 <= i <= 18 instead.  Proof: bb is not a factor of any
     Fibonacci word, so every ab other than a suffix is followed by a; and F_i
     ends with F_3 = ab exactly when i is odd (F_5 = abaab: 2 against 1).
     Whether the paper's "k >= 4" means k >= 5 here or assumes the shifted
     convention F_1 = a is open: the abstract does not settle it."""
+    max_fib, max_tm, max_lpp = 20, 14, 18
     instances = []
     notes = []
 
@@ -624,3 +621,27 @@ def verify_occ_lemmas(
         instances.append(InstanceResult(f"lpp k={k}", ok))
 
     return VerificationReport("occ-lemmas", tuple(instances), tuple(notes))
+
+
+def structural_checks() -> VerificationReport:
+    """The classic Fibonacci-word facts for 3 <= i <= 20, one instance per
+    fact and order: F_i has no factor aaa and none bb, F_i = G_i . Delta_i,
+    and for i >= 7, G_{i-1} occurs in F_i exactly at positions 1 and
+    f_{i-2} + 1."""
+    instances = []
+    aaa, bb = Word("aaa"), Word("bb")
+    for i in range(3, 21):
+        f_i = classic.fibonacci_word(i)
+        glued = classic.fibonacci_G(i) + classic.fibonacci_delta(i)
+        instances += (
+            InstanceResult(f"no aaa in F_{i}", not occ_count(aaa, f_i)),
+            InstanceResult(f"no bb in F_{i}", not occ_count(bb, f_i)),
+            InstanceResult(f"F_{i} = G_{i} . Delta_{i}", glued.text == f_i.text),
+        )
+        if i >= 7:
+            got = tuple(occurrences(classic.fibonacci_G(i - 1), f_i))
+            want = (1, classic.fibonacci_number(i - 2) + 1)
+            instances.append(
+                InstanceResult(f"Occ(G_{i - 1}, F_{i}) = {want}", got == want, f"got {got}")
+            )
+    return VerificationReport("fibonacci-structure", tuple(instances))

@@ -99,18 +99,14 @@ class Word:
         return Word(self.text + other.text, self.alphabet)
 
 
-def word(text: str, alphabet: Alphabet | None = None) -> Word:
-    """Convenience constructor.
-
-    Without an explicit alphabet, uses :data:`BINARY` when the text fits it,
-    otherwise the sorted alphabet of the characters that actually occur.
-    """
-    if alphabet is None:
-        if set(text) <= BINARY._symbol_set:
-            alphabet = BINARY
-        else:
-            alphabet = Alphabet(tuple(sorted(set(text))))
-    return Word(text, alphabet)
+def word(text: str) -> Word:
+    """Convenience constructor: a word over :data:`BINARY` when the text fits
+    it, otherwise over the sorted alphabet of the characters that occur.
+    ``Word(text, alphabet)`` takes an explicit alphabet."""
+    symbols = set(text)
+    if symbols <= BINARY._symbol_set:
+        return Word(text, BINARY)
+    return Word(text, Alphabet(tuple(sorted(symbols))))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from morphlab import (
     thue_morse_word,
     word,
 )
+from morphlab import classic
 from morphlab.words import Alphabet, Word
 
 
@@ -117,12 +118,27 @@ class TestExtensions:
 
 class TestStructuralChecks:
     def test_all_pass_to_twenty(self):
-        report = structural_checks(20)
-        assert report.passed, report.failures
+        report = structural_checks()
+        assert report.name == "fibonacci-structure"
+        assert report.passed, [r.label for r in report.instances if not r.ok]
 
-    def test_rejects_small_cap(self):
-        with pytest.raises(ValueError):
-            structural_checks(6)
+    def test_lists_every_fact_for_each_order(self):
+        labels = [r.label for r in structural_checks().instances]
+        want = []
+        for i in range(3, 21):
+            want += [f"no aaa in F_{i}", f"no bb in F_{i}", f"F_{i} = G_{i} . Delta_{i}"]
+            if i >= 7:
+                want.append(f"Occ(G_{i - 1}, F_{i}) = {(1, fibonacci_number(i - 2) + 1)}")
+        assert labels == want
+
+    def test_fails_when_a_fact_is_broken(self, monkeypatch):
+        # Delta_i is ba for even i, so a constant ab breaks F_i = G_i . Delta_i there
+        monkeypatch.setattr(classic, "fibonacci_delta", lambda i: Word("ab"))
+        report = structural_checks()
+        assert not report.passed
+        assert [r.label for r in report.instances if not r.ok] == [
+            f"F_{i} = G_{i} . Delta_{i}" for i in range(4, 21, 2)
+        ]
 
 
 class TestInterferenceSweeps:

@@ -1,6 +1,11 @@
 import pytest
 
-from morphlab.cli import machine_line, main, parse_machine_line
+from morphlab.cli import machine_line, main
+
+
+def parse_machine_line(line: str) -> dict[str, str]:
+    """Inverse of :func:`morphlab.cli.machine_line`."""
+    return dict(part.partition("=")[::2] for part in line.split())
 
 
 def run(capsys, *argv):

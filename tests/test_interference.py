@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from morphlab import (
     FIBONACCI,
     NAMED_MORPHISMS,
+    Alphabet,
     Morphism,
     Word,
     brute_force_is_interference_free,
@@ -26,7 +27,7 @@ from morphlab import (
 )
 from morphlab import interference
 from morphlab.aho_corasick import p_pref_lengths, p_suf_lengths
-from morphlab.errors import NonInjectiveMorphismError
+from morphlab.errors import AlphabetMismatchError, NonInjectiveMorphismError
 from morphlab.interference import (
     _SLICE,
     _SUB,
@@ -199,6 +200,18 @@ class TestInnerFactor:
     def test_full_image_does_not_count(self):
         assert not is_inner_image_factor(FIB, "ab")
 
+    def test_is_the_decisions_witness(self, small_injective_morphisms, small_words):
+        # on every inner-kind NOT-IF instance of the small sweep, the check
+        # on phi(u) answers with the decision's own witness
+        inner = 0
+        for phi in small_injective_morphisms:
+            for u in small_words:
+                w = is_interference_free_on(phi, u).witness
+                if w is not None and w.kind == INNER_IMAGE_FACTOR:
+                    assert is_inner_image_factor(phi, phi.apply_text(u.text)) == w
+                    inner += 1
+        assert inner
+
 
 class TestDecision:
     def test_fibonacci_parity(self):
@@ -299,11 +312,8 @@ def reference_decision(phi, u):
             donor_z=affix_donor(phi, z, suffix=False),
         )
         return InterferenceDecision(False, witness)
-    inner = is_inner_image_factor(phi, text)
-    if inner:
-        witness = InterferenceWitness(INNER_IMAGE_FACTOR, host=inner.host, offset=inner.offset)
-        return InterferenceDecision(False, witness)
-    return InterferenceDecision(True)
+    witness = is_inner_image_factor(phi, text)
+    return InterferenceDecision(witness is None, witness)
 
 
 def decide_against_reference(phi, u):
@@ -518,10 +528,19 @@ def test_decision_applies_phi_only_to_the_ends_of_u(monkeypatch):
         return apply_text(self, text)
 
     monkeypatch.setattr(Morphism, "apply_text", counting)
-    for i in (20, 21):  # IF, then NOT-IF with a witness as long as u
+    # IF, NOT-IF with a witness as long as u, and u over a wider alphabet
+    # than phi's source
+    f_21 = fibonacci_word(21).text
+    for u in (fibonacci_word(20), fibonacci_word(21), Word(f_21, Alphabet(tuple("abc")))):
         applied.clear()
-        is_interference_free_on(FIBONACCI, fibonacci_word(i))
-        assert sum(applied) <= 2 * FIBONACCI.max_image_length, (i, applied)
+        is_interference_free_on(FIBONACCI, u)
+        assert sum(applied) <= 2 * FIBONACCI.max_image_length, (len(u), applied)
+    # a symbol with no image is found without applying phi, and the error
+    # names the first one in u, not the first in the alphabet
+    applied.clear()
+    with pytest.raises(AlphabetMismatchError, match="symbol 'd' has no image"):
+        is_interference_free_on(FIBONACCI, Word(f_21 + "dc", Alphabet(tuple("abcd"))))
+    assert not applied
 
 
 def test_backtrack_expands_few_slices(monkeypatch):

@@ -734,7 +734,7 @@ class TestTheoremSweeps:
         assert verify_net_closed_forms(range(7, 13), range(5, 11)).passed
 
     def test_occ_lemma_constancy(self):
-        report = verify_occ_lemmas(max_fib=16, max_tm=11, max_lpp=14)
+        report = verify_occ_lemmas()
         by_label = {r.label: r for r in report.instances}
         for d in (1, 2, 3):
             assert by_label[f"fib d={d}"].ok
@@ -742,7 +742,7 @@ class TestTheoremSweeps:
         assert by_label["occ(F_4, F_6) = 3"].ok
         # prefix equality holds for k >= 5; at k = 4 the suffix occurrence of
         # ab on odd i adds one, which the report checks as an exact relation
-        for k in range(5, 15):
+        for k in range(5, 19):
             assert by_label[f"lpp k={k}"].ok
         assert by_label["occ(ab, F_i) = occ(aba, F_i) + (i mod 2)"].ok
         # the plain k = 4 equality is false: F_5 = abaab
