@@ -123,7 +123,7 @@ def _cmd_apply(args) -> int:
 def _cmd_occ(args) -> int:
     pattern, text = _slurp(args.pattern), _slurp(args.text)
     alphabet = word(pattern + text).alphabet
-    occ = occurrences(Word(pattern, alphabet), Word(text, alphabet))
+    occ = occurrences(Word._trusted(pattern, alphabet), Word._trusted(text, alphabet))
     _emit(
         args,
         f"{len(occ)} occurrences at {occ.serialize() or '-'}",

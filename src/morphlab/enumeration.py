@@ -218,7 +218,7 @@ def is_recognizable_on(phi: Morphism, u: Word) -> RecognizabilityDecision:
     text = phi.apply_text(u.text)
     count = count_circular_factorizations(phi, text)
     if count != 1:
-        return RecognizabilityDecision(False, Word(text, phi.target), count)
+        return RecognizabilityDecision(False, Word._trusted(text, phi.target), count)
     return RecognizabilityDecision(True)
 
 

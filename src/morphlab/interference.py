@@ -497,7 +497,7 @@ def is_strongly_interference_free(phi: Morphism) -> StrongInterferenceDecision:
     """phi is strongly interference-free iff it is interference-free on every
     single source symbol."""
     for c in phi.source.symbols:
-        decision = is_interference_free_on(phi, Word(c, phi.source))
+        decision = is_interference_free_on(phi, Word._trusted(c, phi.source))
         if not decision:
             return StrongInterferenceDecision(False, c, decision.witness)
     return StrongInterferenceDecision(True)

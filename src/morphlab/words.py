@@ -56,9 +56,12 @@ class Word:
     """A finite word over an :class:`Alphabet`.
 
     Thin wrapper around ``str``: indexing is 0-based and slicing returns a
-    new :class:`Word` over the same alphabet.  The constructor checks the
-    text against the alphabet; a slice skips that check, since a slice of a
-    valid word is valid over the same alphabet.
+    new :class:`Word` over the same alphabet.  The public constructors
+    validate: ``Word(text, alphabet)`` checks the text against the alphabet
+    and :func:`word` derives an alphabet that fits it.  A word the library
+    builds from valid parts is trusted and built by :meth:`_trusted`
+    without the check: slices, concatenations, :func:`flip`, morphic images
+    and iterates, and the classic words.
     """
 
     text: str
@@ -96,7 +99,7 @@ class Word:
     def __add__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError("cannot concatenate words over different alphabets")
-        return Word(self.text + other.text, self.alphabet)
+        return Word._trusted(self.text + other.text, self.alphabet)
 
 
 def word(text: str) -> Word:
@@ -105,8 +108,8 @@ def word(text: str) -> Word:
     ``Word(text, alphabet)`` takes an explicit alphabet."""
     symbols = set(text)
     if symbols <= BINARY._symbol_set:
-        return Word(text, BINARY)
-    return Word(text, Alphabet(tuple(sorted(symbols))))
+        return Word._trusted(text, BINARY)
+    return Word._trusted(text, Alphabet(tuple(sorted(symbols))))
 
 
 @dataclass(frozen=True)
@@ -185,11 +188,11 @@ def flip(w: Word) -> Word:
     if not w.alphabet.is_binary:
         raise ValueError("flip requires a binary alphabet")
     a, b = w.alphabet.symbols
-    return Word(w.text.translate(str.maketrans(a + b, b + a)), w.alphabet)
+    return Word._trusted(w.text.translate(str.maketrans(a + b, b + a)), w.alphabet)
 
 
 def longest_proper_prefix(w: Word) -> Word:
     """``w`` with its final symbol removed; requires ``|w| >= 2``."""
     if len(w) < 2:
         raise ValueError("longest_proper_prefix requires a word of length >= 2")
-    return Word(w.text[:-1], w.alphabet)
+    return w[:-1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from morphlab import (
@@ -92,6 +94,22 @@ class TestGAndDelta:
     def test_rejects_small_index(self):
         with pytest.raises(ValueError):
             fibonacci_G(2)
+        for i in (0, -3):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                fibonacci_delta(i)
+            with pytest.raises(ValueError, match="must be >= 1"):
+                fibonacci_alpha(i)
+
+    def test_refused_past_the_cap_before_it_is_built(self):
+        classic._fibonacci_text.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the cap 30"):
+                fibonacci_G(classic.MAX_FIBONACCI_ORDER + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
 
     def test_alpha(self):
         assert fibonacci_alpha(6).text == "a"

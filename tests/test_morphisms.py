@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import product
 
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from morphlab import (
+    Alphabet,
     AlphabetMismatchError,
     BudgetExceededError,
     Morphism,
@@ -110,6 +112,128 @@ class TestIterationBudget:
         monkeypatch.setattr(morphisms, "LENGTH_BUDGET", 64)
         with pytest.raises(AlphabetMismatchError):
             FIB.iterate(word("abc"), 5)
+
+
+def levels_iterates(phi, u, n):
+    """phi^k(u), or the exception that ``Morphism.iterate`` raises, for
+    k = 0..n, from one level-by-level ``apply_text`` loop.  The checks come
+    in iterate's order: endomorphism, budget (an imageless symbol counts 0),
+    then the first imageless symbol of u."""
+    known = "".join(c for c in u.text if c in phi.image_map)
+    try:
+        phi.apply_text(u.text)
+        imageless = None
+    except AlphabetMismatchError as exc:
+        imageless = exc
+    yield u.text
+    text = known
+    for k in range(1, n + 1):
+        if k >= 2 and not phi.is_endomorphism:
+            yield ValueError("iterating k >= 2 requires image symbols to map into the source")
+            continue
+        text = phi.apply_text(text)
+        if len(text) > morphisms.LENGTH_BUDGET:
+            yield BudgetExceededError(
+                f"phi^{k}(u) would hold more than {morphisms.LENGTH_BUDGET} symbols, the budget"
+            )
+        else:
+            yield imageless or text
+
+
+CHAIN = "abcdefghijklmnopqrstuvwx"
+
+
+def traced_peak(call):
+    """``call()`` and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def all_images(symbols, longest=3):
+    return ["".join(p) for n in range(longest + 1) for p in product(symbols, repeat=n)]
+
+
+def all_words(symbols, longest=5):
+    return [word("".join(p)) for n in range(longest + 1) for p in product(symbols, repeat=n)]
+
+
+class TestIterateAgainstLevels:
+    """``iterate`` builds phi^k(u) from per-symbol tables; it must give the
+    text, alphabet and exception of a level-by-level ``apply_text`` loop, on
+    erasing images, unreachable symbols and imageless symbols of u alike."""
+
+    @staticmethod
+    def check(morphisms_, words, n=8):
+        for phi in morphisms_:
+            for u in words:
+                for k, want in enumerate(levels_iterates(phi, u, n)):
+                    case = (phi.format(), u.text, k)
+                    if isinstance(want, Exception):
+                        with pytest.raises(type(want)) as got:
+                            phi.iterate(u, k)
+                        assert str(got.value) == str(want), case
+                        continue
+                    w = phi.iterate(u, k)
+                    assert w.text == want, case
+                    assert w.alphabet == (u.alphabet if k == 0 else phi.target), case
+
+    def test_one_symbol_source(self):
+        # images over {a, b}: b has no image, and k >= 2 needs an endomorphism
+        self.check(
+            [Morphism(Alphabet(("a",)), Alphabet(("a", "b")), (("a", img),))
+             for img in all_images("ab")],
+            all_words("ab"),
+        )
+
+    def test_two_symbol_source(self):
+        images = all_images("ab")
+        self.check(
+            [Morphism.from_map({"a": ia, "b": ib}) for ia, ib in product(images, repeat=2)],
+            all_words("ab") + [word(t) for t in ("c", "ac", "bca", "abcab", "cbaab")],
+        )
+
+    def test_two_symbol_source_at_a_small_budget(self, monkeypatch):
+        # the budget is checked before the first imageless symbol of u
+        monkeypatch.setattr(morphisms, "LENGTH_BUDGET", 40)
+        images = all_images("ab")
+        self.check(
+            [Morphism.from_map({"a": ia, "b": ib}) for ia, ib in product(images, repeat=2)],
+            all_words("ab", 3) + [word(t) for t in ("c", "bca", "abbcab", "cbbbab")],
+        )
+
+    def test_three_symbol_source(self):
+        # a seeded sample of the 40^3 morphisms, each on every word of length 0-5
+        images = all_images("abc")
+        rng = random.Random(23)
+        self.check(
+            [Morphism.from_map(dict(zip("abc", rng.choices(images, k=3)))) for _ in range(20)]
+            + [Morphism.parse("a->ab;b->.;c->cc"), Morphism.parse("a->.;b->.;c->.")],
+            all_words("abc"),
+        )
+
+    @pytest.mark.parametrize("spec, u, k, want", [
+        # phi^23(a) is x repeated 2^23 times and phi^24(a) is empty: every
+        # table entry is a factor of the result, so no level is built
+        (";".join(f"{c}->{d}{d}" for c, d in zip(CHAIN, CHAIN[1:])) + ";x->.", "a", 24, ""),
+        # |phi^40(b)| = 2^40, but u = a never reaches b
+        ("a->a;b->bb", "a", 40, "a"),
+        # S_i alternates {a} and {b, c}: 30,000 levels store two symbol sets
+        ("a->bc;b->a;c->.", "aa", 30_000, "aa"),
+    ])
+    def test_peak_under_100_kb(self, spec, u, k, want):
+        phi, u = Morphism.parse(spec), word(u)
+        w, peak = traced_peak(lambda: phi.iterate(u, k))
+        assert w.text == want
+        assert peak < 100_000, peak
+
+    def test_thue_morse_peak(self):
+        # 2 MiB of output, joined from its two 1 MiB halves
+        w, peak = traced_peak(lambda: TM.iterate(word("a"), 21))
+        assert len(w) == 2**21
+        assert peak < 4.5 * 2**20, peak
 
 
 class TestPredicates:

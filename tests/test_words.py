@@ -4,16 +4,26 @@ from hypothesis import strategies as st
 
 from morphlab import (
     BINARY,
+    FIBONACCI,
+    THUE_MORSE,
     Alphabet,
     AlphabetMismatchError,
+    Morphism,
     OccurrenceSet,
     Word,
+    extensions,
+    fibonacci_G,
+    fibonacci_word,
     flip,
+    is_recognizable_on,
+    is_strongly_interference_free,
     longest_proper_prefix,
     occ_count,
     occurrences,
+    thue_morse_word,
     word,
 )
+from morphlab import classic, cli
 from morphlab.words import find_all, naive_occurrences
 
 binary_texts = st.text(alphabet="ab", max_size=30)
@@ -136,3 +146,61 @@ class TestTransforms:
         assert longest_proper_prefix(word("abaab")).text == "abaa"
         with pytest.raises(ValueError):
             longest_proper_prefix(word("a"))
+
+
+@pytest.fixture
+def checked_words(monkeypatch):
+    """Texts of the words built through ``Word.__post_init__``'s check."""
+    texts = []
+    original = Word.__post_init__
+
+    def counting(self):
+        texts.append(self.text)
+        original(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    return texts
+
+
+class TestValidatedOnce:
+    """``Word(text, alphabet)`` and ``word(text)`` check their input; a word
+    the library builds from valid parts is built without the check."""
+
+    def test_library_built_words_are_trusted(self, checked_words, capsys):
+        classic._fibonacci_text.cache_clear()
+        classic._thue_morse_text.cache_clear()
+        a, u, v = word("a"), word("abaab"), word("ba")
+        built = [
+            fibonacci_word(30),
+            thue_morse_word(22),
+            FIBONACCI.iterate(a, 28),
+            THUE_MORSE.iterate(a, 21),
+            FIBONACCI.apply(u),
+            Morphism.parse("a->ac;b->.").apply(u),
+            flip(u),
+            u + v,
+            u[1:3],
+            fibonacci_G(30),
+            *extensions(v),
+            *Morphism.parse("a->ab;b->.").injectivity_witness,
+            is_recognizable_on(THUE_MORSE, a).offending_rotation,
+        ]
+        assert not is_strongly_interference_free(FIBONACCI)
+        assert cli.main(["occ", "--pattern", "ab", "--text", "abcab"]) == 0
+        assert checked_words == []
+        # F_30 = phi^28(a) and tm_22 = mu^21(a)
+        assert built[0] == built[2] and built[1] == built[3]
+        for w in built:
+            assert Word(w.text, w.alphabet) == w
+        assert len(checked_words) == len(built)
+
+    @pytest.mark.parametrize("text", ["", "abba", "abc", "ba" * 1000, "zy"])
+    def test_word_checks_at_most_once(self, checked_words, text):
+        w = word(text)
+        assert len(checked_words) <= 1
+        assert Word(w.text, w.alphabet) == w
+
+    def test_constructor_still_checks(self, checked_words):
+        with pytest.raises(ValueError, match="not in alphabet"):
+            Word("abc", BINARY)
+        assert checked_words == ["abc"]
