@@ -79,11 +79,11 @@ that head.
 A call reaches at most |u| + 1 states, each of O(max|img|) size, so the
 state memory is O(|u| max|img|) in the worst case; the classic inputs of
 the benchmark reach three or four.  A memo hit is one C-level dict lookup,
-and the keys are cut in C as well: one precompiled regular expression's
-``findall`` cuts u into its slices, another cuts a missed slice into its
-sub-slices (with ``re.S``, so that "." matches every symbol, a newline
-included).  So the decision runs about |u| / ``_SLICE`` slice lookups
-(each hashes its slice); per distinct (state, slice) pair, ``_SLICE`` /
+and the keys are cut in C as well, by ``itemgetter`` calls of precomputed
+``slice`` objects: u into its slices, one row of 64 slices per call, and a
+missed slice into its sub-slices after the first, in one call.  So the
+decision runs about |u| / ``_SLICE`` slice lookups (each hashes its
+slice); per distinct (state, slice) pair, ``_SLICE`` /
 ``_SUB`` sub-slice lookups if its first sub-slice is stored, else one
 stored sub-slice and ``_SLICE`` symbol lookups; ``_SUB`` symbol lookups
 per distinct (state, sub-slice) pair; and O(k max|img|) Python work per
@@ -123,12 +123,11 @@ of one-symbol strings only when it is read.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .aho_corasick import p_pref_lengths, p_suf_lengths
 from .errors import AlphabetMismatchError
@@ -137,10 +136,23 @@ from .words import Word
 
 _SLICE = 128  # symbols of u per memoized slice transition (see _run_automaton)
 _SUB = 16  # symbols per memoized sub-slice a slice is composed from (see _State)
-# cut a text into pieces of at most _SLICE (_SUB) symbols in C; re.S lets "."
-# match every symbol, "\n" included
-_slices = re.compile(".{1,%d}" % _SLICE, re.S).findall
-_sub_slices = re.compile(".{1,%d}" % _SUB, re.S).findall
+_ROW = 64 * _SLICE  # symbols per row, which _slices cuts in one C call
+# the slices of a row, in one C call; "" past the end of a shorter row
+_row_slices = itemgetter(*(slice(i, i + _SLICE) for i in range(0, _ROW, _SLICE)))
+# the sub-slices of a slice after its first one, in one C call; "" past the
+# end of a shorter slice
+_rest = itemgetter(*(slice(i, i + _SUB) for i in range(_SUB, _SLICE, _SUB)))
+
+
+def _slices(text: str) -> list[str]:
+    """The slices of ``_SLICE`` symbols that u = ``text`` is read in; the
+    last may be shorter."""
+    pieces = []
+    for begin in range(0, len(text), _ROW):
+        pieces += _row_slices(text[begin : begin + _ROW])
+    del pieces[(len(text) + _SLICE - 1) // _SLICE :]  # the "" past the end of u
+    return pieces
+
 
 INTERFERED_FACTORIZATION = "interfered_factorization"
 INNER_IMAGE_FACTOR = "inner_image_factor"
@@ -255,9 +267,10 @@ class _State(dict):
         self.advance = advance
 
     def __missing__(self, key):
-        if len(key) == 1:
+        size = len(key)
+        if size == 1:
             nxt = self.advance(self, key)
-        elif len(key) <= _SUB:
+        elif size <= _SUB:
             nxt = reduce(getitem, key, self)
         else:  # a slice: from its sub-slices once its first one has an entry here
             head = key[:_SUB]
@@ -265,8 +278,10 @@ class _State(dict):
             if nxt is None:
                 nxt = self[head] = reduce(getitem, head, self)
                 rest = key[_SUB:]
-            else:
-                rest = _sub_slices(key, _SUB)
+            elif size == _SLICE:
+                rest = _rest(key)
+            else:  # the last slice of u, shorter
+                rest = filter(None, _rest(key))
             nxt = reduce(getitem, rest, nxt)
         self[key] = nxt
         return nxt

@@ -29,6 +29,7 @@ from morphlab import interference
 from morphlab.aho_corasick import p_pref_lengths, p_suf_lengths
 from morphlab.errors import AlphabetMismatchError, NonInjectiveMorphismError
 from morphlab.interference import (
+    _ROW,
     _SLICE,
     _SUB,
     INNER_IMAGE_FACTOR,
@@ -436,7 +437,7 @@ class TestBlockRunDifferential:
 
 
 # symbols that a regular expression's "." skips without re.S, or that take
-# more than one UTF-16 unit
+# more than one UTF-16 unit: the cut of u must keep each in its place
 _EDGE = ("\n", "\U0001F600")
 
 
@@ -594,6 +595,41 @@ def test_sub_slices_that_do_not_repeat_are_not_kept():
     slices = len(run.states) - 1
     assert slices == -(-len(text) // _SLICE)
     assert kept == slices, (kept, slices)
+
+
+@pytest.mark.parametrize("n", [
+    _SLICE + 1, _ROW - 1, _ROW, _ROW + 1, _ROW + _SLICE, 2 * _ROW + _SLICE - 1, 3 * _ROW])
+def test_rows_cut_the_slices(n):
+    # rows of _ROW symbols are cut by slice objects, the last row past the
+    # end of u too; every symbol, newline and astral symbol included, lands
+    # in the slice of its position, and no slice is empty
+    text = "".join(random.Random(n).choices(("a", "b", *_EDGE), k=n))
+    assert interference._slices(text) == [
+        text[i : i + _SLICE] for i in range(0, n, _SLICE)]
+
+
+@pytest.mark.parametrize("last", [_SUB + 1, 2 * _SUB + 3, _SLICE - 1])
+def test_a_shorter_last_slice_is_composed_from_its_sub_slices(last):
+    # F_20's slices repeat, so its last slice finds its first sub-slice
+    # stored and is composed from its sub-slices, of which there are fewer
+    # than in a full slice: the decision is exact and no row gains the
+    # empty key
+    text = fibonacci_word(20).text[: 20 * _SLICE + last]
+    for _, named in sorted(NAMED_MORPHISMS.items()):
+        phi = named.morphism
+        if not phi.source.is_binary:
+            continue
+        u = Word(text, phi.source)
+        assert is_interference_free_on(phi, u) == reference_decision(phi, u), phi.format()
+        head = phi.apply_text(text[: phi.max_image_length])
+        run = interference._run_automaton(phi, text, p_pref_lengths(phi, head))
+        seen, todo = set(), [run.states[0]]
+        while todo:
+            state = todo.pop()
+            if id(state) not in seen:
+                seen.add(id(state))
+                assert "" not in state, phi.format()
+                todo.extend(state.values())
 
 
 class TestPinnedWitnesses:
