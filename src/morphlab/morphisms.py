@@ -11,7 +11,7 @@ shortest witness pair can be reconstructed when the test fails.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
@@ -35,11 +35,20 @@ LENGTH_BUDGET = 2**24
 
 @dataclass(frozen=True)
 class Morphism:
-    """A total map from source symbols to image words over the target alphabet."""
+    """A total map from source symbols to image words over the target alphabet.
+
+    ``Morphism(source, target, images)`` checks that the images are given
+    for exactly the source symbols, in source order, and that they use
+    target symbols only.  :meth:`from_map`, and through it :meth:`parse`,
+    checks only the caller's source symbols: the target it derives and the
+    images it takes hold by construction, so the morphism is built trusted.
+    """
 
     source: Alphabet
     target: Alphabet
     images: tuple[tuple[str, str], ...]  # (source symbol, image text), source order
+    #: the images as a dict, source symbol -> image text
+    image_map: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         given = [c for c, _ in self.images]
@@ -50,6 +59,7 @@ class Morphism:
         for c, img in self.images:
             if not set(img) <= self.target._symbol_set:
                 raise ValueError(f"image of {c!r} uses symbols outside the target alphabet")
+        self.__dict__["image_map"] = dict(self.images)  # frozen: setattr is blocked
 
     # -- construction helpers -------------------------------------------------
 
@@ -57,11 +67,21 @@ class Morphism:
     def from_map(cls, images: Mapping[str, str]) -> "Morphism":
         """The morphism with these images, its source in the mapping's order
         and its target the sorted image symbols (the source when every image
-        is empty)."""
+        is empty).
+
+        The keys are checked as ``Alphabet(tuple(images))`` checks them.
+        The target, derived from the images, and the morphism are built
+        without their constructors' checks, which hold by construction."""
         source = Alphabet(tuple(images))
         chars = sorted(set("".join(images.values())))
-        target = Alphabet(tuple(chars)) if chars else source
-        return cls(source, target, tuple(images.items()))
+        target = Alphabet._trusted(tuple(chars)) if chars else source
+        phi = object.__new__(cls)
+        fields = phi.__dict__  # frozen: setattr is blocked, the dict is not
+        fields["source"] = source
+        fields["target"] = target
+        fields["images"] = tuple(images.items())
+        fields["image_map"] = dict(images)
+        return phi
 
     @classmethod
     def parse(cls, spec: str) -> "Morphism":
@@ -88,10 +108,6 @@ class Morphism:
         return _SEP.join(f"{c}{_ARROW}{img or _EPSILON}" for c, img in self.images)
 
     # -- basic accessors ------------------------------------------------------
-
-    @cached_property
-    def image_map(self) -> dict[str, str]:
-        return dict(self.images)
 
     @cached_property
     def image_texts(self) -> tuple[str, ...]:

@@ -8,17 +8,24 @@ by the degenerate intervals ``[i, i-1]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatchError
 
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered alphabet of pairwise-distinct single-character symbols."""
+    """Ordered alphabet of pairwise-distinct single-character symbols.
+
+    ``Alphabet(symbols)`` checks its symbols.  An alphabet the library
+    derives from the distinct characters of a string, the target of
+    ``Morphism.from_map`` and the sorted alphabet of :func:`word`, is
+    trusted and built by :meth:`_trusted` without the check.
+    """
 
     symbols: tuple[str, ...]
+    #: the symbols as a set, for membership tests
+    _symbol_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.symbols:
@@ -26,12 +33,20 @@ class Alphabet:
         for s in self.symbols:
             if not (isinstance(s, str) and len(s) == 1):
                 raise ValueError(f"alphabet symbols must be single characters, got {s!r}")
-        if len(set(self.symbols)) != len(self.symbols):
+        symbol_set = frozenset(self.symbols)
+        if len(symbol_set) != len(self.symbols):
             raise ValueError(f"alphabet symbols must be distinct: {self.symbols!r}")
+        self.__dict__["_symbol_set"] = symbol_set  # frozen: setattr is blocked
 
-    @cached_property
-    def _symbol_set(self) -> frozenset[str]:
-        return frozenset(self.symbols)
+    @classmethod
+    def _trusted(cls, symbols: tuple[str, ...]) -> "Alphabet":
+        """An alphabet of the distinct characters ``symbols``, at least
+        one: built without ``__post_init__``'s checks."""
+        alphabet = object.__new__(cls)
+        fields = alphabet.__dict__
+        fields["symbols"] = symbols
+        fields["_symbol_set"] = frozenset(symbols)
+        return alphabet
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._symbol_set
@@ -109,7 +124,7 @@ def word(text: str) -> Word:
     symbols = set(text)
     if symbols <= BINARY._symbol_set:
         return Word._trusted(text, BINARY)
-    return Word._trusted(text, Alphabet(tuple(sorted(symbols))))
+    return Word._trusted(text, Alphabet._trusted(tuple(sorted(symbols))))
 
 
 @dataclass(frozen=True)

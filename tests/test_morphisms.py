@@ -1,5 +1,7 @@
 import random
+import re
 import tracemalloc
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from morphlab import (
+    BINARY,
     Alphabet,
     AlphabetMismatchError,
     BudgetExceededError,
@@ -43,6 +46,101 @@ class TestParseFormat:
         for bad in ("", "b", "ab->a", "aa->b", "a->b;a->c"):
             with pytest.raises(ValueError):
                 Morphism.parse(bad)
+
+
+def binary_sweep_maps():
+    """Every map {a, b} -> {a, b, c}* with image lengths 1..3: the
+    candidates of the binary sweep, injective or not."""
+    images = ["".join(p) for n in (1, 2, 3) for p in product("abc", repeat=n)]
+    return [{"a": ia, "b": ib} for ia, ib in product(images, repeat=2)]
+
+
+def random_maps(count=500, seed=29):
+    """Seeded maps over 1-3 source symbols from {a, b, c}, in random order,
+    with images of length 0..4 over {a, b, c}."""
+    rng = random.Random(seed)
+    return [
+        {c: "".join(rng.choices("abc", k=rng.randint(0, 4)))
+         for c in rng.sample("abc", rng.randint(1, 3))}
+        for _ in range(count)
+    ]
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The constructor checks run, as ("Alphabet", symbols) and
+    ("Morphism", images)."""
+    runs = []
+    for cls, name in ((Alphabet, "symbols"), (Morphism, "images")):
+        def counting(self, original=cls.__post_init__, name=name):
+            runs.append((type(self).__name__, getattr(self, name)))
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return runs
+
+
+class TestCheckedAtTheBoundary:
+    """``Alphabet(symbols)`` and ``Morphism(source, target, images)`` check
+    their input; ``from_map`` and ``parse`` check the caller's source
+    symbols once and build the derived target and the morphism trusted."""
+
+    @pytest.mark.parametrize("maps", [binary_sweep_maps, random_maps])
+    def test_trusted_matches_checked(self, maps):
+        for m in maps():
+            chars = tuple(sorted(set("".join(m.values()))))
+            source = Alphabet(tuple(m))
+            checked = Morphism(source, Alphabet(chars) if chars else source, tuple(m.items()))
+            trusted = Morphism.from_map(m)
+            assert trusted == checked and hash(trusted) == hash(checked), m
+            assert trusted.source == checked.source, m
+            assert trusted.target == checked.target, m
+            assert trusted.target._symbol_set == checked.target._symbol_set, m
+            assert trusted.image_map == checked.image_map == m, m
+
+    def test_from_map_and_parse_check_the_source_once(self, checks):
+        for build in (
+            lambda: Morphism.from_map({"b": "ac", "a": ""}),
+            lambda: Morphism.parse("b->ac;a->."),
+        ):
+            phi = build()
+            assert checks == [("Alphabet", ("b", "a"))]
+            assert phi.target.symbols == ("a", "c")
+            checks.clear()
+
+    def test_constructors_still_check(self, checks):
+        Morphism(Alphabet(("a", "b")), BINARY, (("a", "ab"), ("b", "")))
+        assert checks == [
+            ("Alphabet", ("a", "b")),
+            ("Morphism", (("a", "ab"), ("b", ""))),
+        ]
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Alphabet(()), "alphabet must contain at least one symbol"),
+        (lambda: Alphabet(("ab",)), "alphabet symbols must be single characters, got 'ab'"),
+        (lambda: Alphabet((1,)), "alphabet symbols must be single characters, got 1"),
+        (lambda: Alphabet(("a", "a")), "alphabet symbols must be distinct: ('a', 'a')"),
+        (lambda: Word("abc", BINARY), "symbols ['c'] not in alphabet ('a', 'b')"),
+        (lambda: Morphism(BINARY, BINARY, (("a", "ab"),)),
+         "images must be given for exactly the source symbols ('a', 'b')"),
+        (lambda: Morphism(BINARY, BINARY, (("b", "a"), ("a", "b"))),
+         "images must be given for exactly the source symbols ('a', 'b')"),
+        (lambda: Morphism(BINARY, BINARY, (("a", "ab"), ("b", "c"))),
+         "image of 'b' uses symbols outside the target alphabet"),
+        (lambda: Morphism.from_map({"ab": "a"}),
+         "alphabet symbols must be single characters, got 'ab'"),
+        (lambda: Morphism.from_map({1: "a"}), "alphabet symbols must be single characters, got 1"),
+        (lambda: Morphism.from_map({}), "alphabet must contain at least one symbol"),
+    ])
+    def test_checks_keep_their_messages(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_names_the_tracer_wraps_exist(self):
+        # perfbench/tracing.py wraps is_injective by its type and counts
+        # word checks on Word.__post_init__; it skips a missing name silently
+        assert isinstance(vars(Morphism)["is_injective"], cached_property)
+        assert callable(vars(Word).get("__post_init__"))
 
 
 class TestApplication:

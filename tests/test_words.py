@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -199,6 +201,18 @@ class TestValidatedOnce:
         w = word(text)
         assert len(checked_words) <= 1
         assert Word(w.text, w.alphabet) == w
+
+    def test_derived_alphabet_matches_checked(self):
+        rng = random.Random(31)
+        texts = ["c", "abc", "cab", "zyx", "aaz", " ab", *(
+            "".join(rng.choices("abcz", k=rng.randint(1, 8))) for _ in range(200)
+        )]
+        for text in texts:
+            if set(text) <= {"a", "b"}:
+                continue
+            derived, checked = word(text).alphabet, Alphabet(tuple(sorted(set(text))))
+            assert derived == checked and hash(derived) == hash(checked), text
+            assert derived._symbol_set == checked._symbol_set == set(text), text
 
     def test_constructor_still_checks(self, checked_words):
         with pytest.raises(ValueError, match="not in alphabet"):
