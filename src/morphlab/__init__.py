@@ -22,6 +22,7 @@ from .morphisms import Morphism
 from .interference import (
     InterferenceDecision,
     InterferenceWitness,
+    interference_free_on_every_word,
     is_inner_image_factor,
     is_interference_free_on,
     is_strongly_interference_free,

@@ -20,7 +20,11 @@ from pathlib import Path
 from . import classic, repeats
 from .enumeration import is_recognizable_on
 from .errors import BudgetExceededError, MorphlabError
-from .interference import is_interference_free_on, is_strongly_interference_free
+from .interference import (
+    interference_free_on_every_word,
+    is_interference_free_on,
+    is_strongly_interference_free,
+)
 from .morphisms import LENGTH_BUDGET, Morphism
 from .words import Word, occurrences, word
 
@@ -59,6 +63,13 @@ def _emit(args, human: str, **fields) -> None:
 
 def _cmd_check_if(args) -> int:
     phi = _morphism_arg(args.morphism)
+    if args.every_word:
+        u = interference_free_on_every_word(phi)
+        if u is None:
+            _emit(args, "IF", command="check-if", result="IF")
+            return 0
+        _emit(args, f"NOT-IF\nword {u.text}", command="check-if", result="NOT-IF", word=u.text)
+        return 1
     u = _word_arg(args.word)
     decision = is_interference_free_on(phi, u)
     if decision:
@@ -260,9 +271,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "machine"), default="human")
         return p
 
-    p = add("check-if", _cmd_check_if, help="decide interference-freeness on a word")
+    p = add("check-if", _cmd_check_if,
+            help="decide interference-freeness on a word, or on every word")
     p.add_argument("--morphism", required=True)
-    p.add_argument("--word", required=True)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--word")
+    which.add_argument("--every-word", action="store_true",
+                       help="report the shortest, then smallest word that is not IF")
 
     p = add("check-strong-if", _cmd_check_strong_if,
             help="decide interference-freeness on every source symbol")

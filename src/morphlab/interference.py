@@ -39,9 +39,10 @@ if any, and ORs the seed sets where the images ending at it start
 depends only on its distance past the cut, not on the cut itself, so a
 transition depends only on the state's key (tail, masks, pending seeds).
 Transitions are memoized per call, on each state's row keyed by the symbol,
-and every state, the initial one included, is interned by its key; there is
-no cache across calls.  So the run is one DFA over the source alphabet from
-its initial state.  Interning cannot merge two positions of one run at a
+and every state, the initial one included, is interned by its key; no
+state is cached across calls (a morphism keeps one flag, see "Every
+word" below).  So the run is one DFA over the source alphabet from its
+initial state.  Interning cannot merge two positions of one run at a
 state with pending seeds: a pending seed's distance is the seed minus the
 cut, and the cut strictly increases, as the images of an injective phi
 are nonempty.  A word of at
@@ -68,11 +69,12 @@ any slice can be rebuilt from the state at its start by memo hits alone.
 P_pref and P_suf come from :func:`aho_corasick.p_pref_lengths` and
 :func:`aho_corasick.p_suf_lengths`, which look up the prefixes of phi of
 the first max|img| symbols of u among the morphism's proper image suffixes,
-and the suffixes of phi of the last max|img| symbols among its proper image
-prefixes.  So phi is applied to at most 2 max|img| symbols of u, also when
-u's alphabet has a symbol with no image: the first such symbol of u is
-found by one ``str.find`` per imageless symbol.  P_suf is computed only
-when a position it could accept is reached.
+and the suffixes of the final state's tail, the last max|img| - 1 symbols
+of phi(u), among its proper image prefixes.  So phi is applied to at most
+max|img| symbols of u, also when u's alphabet has a symbol with no image:
+the first such symbol of u is found by one ``str.find`` per imageless
+symbol.  P_suf is computed only when a position it could accept is
+reached (:func:`_accepting`, passes 1 and 2 on the final state).
 Only |phi(u)| <= max|img| - 2 permits the inner kind, and then phi(u) is
 that head.
 
@@ -119,6 +121,48 @@ rule picks that occurrence at every one of these cuts.
 The witness keeps y as one string of source symbols: the backtrack joins
 its chunks once, and :attr:`InterferenceWitness.y_symbols` builds the tuple
 of one-symbol strings only when it is read.
+
+**Every word.**  (A result of this package, not taken from the paper.)
+The injective phi interferes on some nonempty word if and only if it
+interferes on one of its source symbols.  So phi is IF on every nonempty
+word exactly when it is strongly IF (:func:`is_strongly_interference_free`,
+IF on each single symbol), and the shortest, then lexicographically
+smallest word on which it interferes is its first such symbol in source
+order.  "If" holds as symbols are words.  Proof of "only if": let
+u = u_1 ... u_n with n >= 2, and L = |phi(u_1)| >= 1 (an injective phi
+is non-erasing).
+
+* phi(u) strictly inside an image: then so is its prefix phi(u_1).
+* phi(u) = x . phi(y) . z with x . z nonempty.  Where does the cut L
+  fall?  Inside x (L < |x|): x is a proper suffix of an image, so
+  phi(u_1), a proper prefix of x, lies strictly inside that image.  At
+  the end of x (L = |x|): phi(u_1) = x, and x . (empty) . (empty) is an
+  interfered factorization.  Inside or at the end of the image of y_j,
+  with p the nonempty prefix of phi(y_j) before L: phi(u_1) =
+  x . phi(y_1 ... y_(j-1)) . p is interfered when x is nonempty or p is
+  a proper prefix.  Otherwise x is empty and phi(u_1) = phi(y_1 ... y_j),
+  so y_1 = u_1 by injectivity, and phi(u_2 ... u_n) = phi(y_2 ...) . z
+  with z nonempty: phi interferes on u_2 ... u_n, so on one of its
+  symbols, by induction on n.  Inside z (|x . phi(y)| < L < |phi(u)|):
+  phi(u_1) = x . phi(y) . z' with z' a nonempty proper prefix of z,
+  hence of an image.
+
+The automaton's states are finitely many, so a breadth-first search over
+them, from one start per head phi(u[:k]) long enough to fix P_pref, would
+decide whether phi is IF on every word too; by the result above it would
+stop at the first symbols, so no such search is made.
+
+The window automaton decides a symbol c in one step from the state
+before it, with P_pref from phi(c) and P_suf from the state's tail:
+|Sigma| steps for the whole morphism, with no run kept and phi applied
+to no word (:func:`interference_free_on_every_word`).  Its answer for a
+morphism is
+the one thing kept across calls, as a flag in the morphism's
+``__dict__``: a decision on a u of more than ``_SLICE`` symbols reads it
+(computing it once per morphism) and, when phi is IF on every word,
+returns IF without a run.  A shorter u costs at most ``_SLICE`` symbol
+steps, so it neither computes nor reads the flag.  A NOT-IF decision
+still runs on u, since its witness is one of u's own factorizations.
 """
 
 from __future__ import annotations
@@ -136,6 +180,7 @@ from .words import Word
 
 _SLICE = 128  # symbols of u per memoized slice transition (see _run_automaton)
 _SUB = 16  # symbols per memoized sub-slice a slice is composed from (see _State)
+_FLAG = "_if_on_every_word"  # the key of that flag in a morphism's __dict__
 _ROW = 64 * _SLICE  # symbols per row, which _slices cuts in one C call
 # the slices of a row, in one C call; "" past the end of a shorter row
 _row_slices = itemgetter(*(slice(i, i + _SLICE) for i in range(0, _ROW, _SLICE)))
@@ -340,12 +385,11 @@ class _Run:
         return begin + bisect_left(self._slice(j - 1), 1, 1, min(step, k - begin), key=reached)
 
 
-def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
-    """The run of the automaton over u = ``text``, from the state before
-    its first symbol, whose ``ahead`` holds every P_pref seed: one memoized
-    transition per slice of ``_SLICE`` symbols (composed from its
-    sub-slices, see :class:`_State`), or per symbol when u fits in one
-    slice."""
+def _automaton(phi: Morphism):
+    """The window automaton of phi, as a function from a set P_pref to the
+    state before u's first symbol, whose ``ahead`` holds every seed.  Its
+    states are interned by their keys and share one ``advance``, so runs
+    from several start sets read and fill the same rows."""
     image_of = phi.image_map
     ends = phi.image_ends
     base = phi.max_image_length - 1  # frame index of the cut
@@ -384,12 +428,54 @@ def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
             nxt = states[key] = _State(*key, advance)
         return nxt
 
-    seeds = sorted(p_pref)
-    key = "", (0,) * base + (1,), tuple(zip(seeds, seeds))  # seed 0 at position 0
-    state = states[key] = _State(*key, advance)
+    def start(p_pref):
+        seeds = sorted(p_pref)
+        key = "", (0,) * base + (1,), tuple(zip(seeds, seeds))  # seed 0 at position 0
+        state = states.get(key)
+        if state is None:
+            state = states[key] = _State(*key, advance)
+        return state
+
+    return start
+
+
+def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
+    """The run of the automaton over u = ``text``, from the state before
+    its first symbol, whose ``ahead`` holds every P_pref seed: one memoized
+    transition per slice of ``_SLICE`` symbols (composed from its
+    sub-slices, see :class:`_State`), or per symbol when u fits in one
+    slice."""
+    state = _automaton(phi)(p_pref)
     if len(text) <= _SLICE:
         return _Run(text, 1, list(accumulate(text, getitem, initial=state)))
     return _Run(text, _SLICE, list(accumulate(_slices(text), getitem, initial=state)))
+
+
+def _accepting(phi: Morphism, state: _State) -> tuple[int, int] | None:
+    """The (seed, |z|) of the interfered image factorization that the state
+    after u accepts, or None: the decision of passes 1 and 2 on phi(u).
+
+    Pass 1, z nonempty, takes the smallest seed, then the leftmost
+    acceptance; a suffix of length L ends x . y at window index
+    max|img| - 1 - L.  P_suf is read from the state's tail, the last
+    max|img| - 1 symbols of phi(u), and only when a position it could
+    accept is reached.  Pass 2, z empty, needs x nonempty and phi(u) =
+    x . y, and takes the longest x.
+    """
+    window = state.window
+    size = len(window)
+    if any(window[:-1]):
+        best = None
+        for length in sorted(p_suf_lengths(phi, state.tail), reverse=True):
+            mask = window[size - 1 - length]
+            seed = (mask & -mask).bit_length() - 1
+            if mask and (best is None or seed < best[0]):
+                best = (seed, length)
+        if best is not None:
+            return best
+    if window[-1] > 1:
+        return window[-1].bit_length() - 1, 0
+    return None
 
 
 def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
@@ -456,7 +542,12 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
 def is_interference_free_on(phi: Morphism, u: Word) -> InterferenceDecision:
     """Decide interference-freeness of the injective phi on the single
     nonempty word u.  A symbol of u with no image raises
-    ``AlphabetMismatchError``, which names the first such symbol of u."""
+    ``AlphabetMismatchError``, which names the first such symbol of u.
+
+    A u of more than ``_SLICE`` symbols is IF at once when phi is IF on
+    every word, a flag that the morphism's first such decision computes;
+    a shorter u is read in at most ``_SLICE`` symbol steps, so it neither
+    computes nor reads the flag."""
     phi.require_injective("interference-freeness")
     if len(u) == 0:
         raise ValueError("interference-freeness is defined for nonempty words")
@@ -468,39 +559,23 @@ def is_interference_free_on(phi: Morphism, u: Word) -> InterferenceDecision:
         if first:
             raise AlphabetMismatchError(f"symbol {first[1]!r} has no image")
     size = phi.max_image_length
+    if len(text) > _SLICE and _if_on_every_word(phi):
+        return InterferenceDecision(True)
     head = phi.apply_text(text[:size])
-    p_pref = p_pref_lengths(phi, head)
-    run = _run_automaton(phi, text, p_pref)
-    window = run.states[-1].window
-
-    # pass 1, z nonempty: the smallest seed, then the leftmost acceptance;
-    # a suffix of length L ends x . y at window index size - 1 - L
-    best = None
-    if any(window[:-1]):
-        tail = head if len(text) <= size else phi.apply_text(text[-size:])
-        for length in sorted(p_suf_lengths(phi, tail), reverse=True):
-            mask = window[size - 1 - length]
-            seed = (mask & -mask).bit_length() - 1
-            if mask and (best is None or seed < best[0]):
-                best = (seed, length)
-    if best is not None:
-        seed, length = best
-        x, z = head[:seed], tail[len(tail) - length:]
-        y = _trace_back(phi, run, length, seed)
-    elif window[-1] > 1:
-        # z empty: x nonempty and phi(u) = x . y; the longest x is reported
-        seed = window[-1].bit_length() - 1
-        x, z = head[:seed], ""
-        y = _trace_back(phi, run, 0, seed)
-    else:
+    run = _run_automaton(phi, text, p_pref_lengths(phi, head))
+    state = run.states[-1]
+    found = _accepting(phi, state)
+    if found is None:
         # the inner kind needs |phi(u)| <= max|img| - 2: then phi(u) == head,
         # while a longer u has |head| >= max|img|
         witness = is_inner_image_factor(phi, head) if len(head) <= size - 2 else None
         return InterferenceDecision(witness is None, witness)
+    seed, length = found
+    x, z = head[:seed], state.tail[len(state.tail) - length :]
     witness = InterferenceWitness(
         INTERFERED_FACTORIZATION,
         x=x,
-        y=y,
+        y=_trace_back(phi, run, length, seed),
         z=z,
         donor_x=affix_donor(phi, x, suffix=True),
         donor_z=affix_donor(phi, z, suffix=False),
@@ -508,12 +583,47 @@ def is_interference_free_on(phi: Morphism, u: Word) -> InterferenceDecision:
     return InterferenceDecision(False, witness)
 
 
+def interference_free_on_every_word(phi: Morphism) -> Word | None:
+    """None when the injective phi is interference-free on every nonempty
+    word over its source; otherwise the shortest, then lexicographically
+    smallest (in source order) word on which it is not.
+
+    That word is a single symbol: phi interferes on some word only if it
+    interferes on one of its symbols (see the module docstring).  Each
+    symbol c is one step of the window automaton, from the state before
+    it: P_pref and P_suf are read from phi(c) and from the state's tail, so
+    phi is not applied to a word and no run is kept."""
+    phi.require_injective("interference-freeness")
+    image_of = phi.image_map
+    symbols = phi.source.symbols
+    # the affix sets (and their budget) before image_ends, as in a decision
+    seeds = [p_pref_lengths(phi, image_of[c]) for c in symbols]
+    start = _automaton(phi)
+    for c, p_pref in zip(symbols, seeds):
+        if _accepting(phi, start(p_pref)[c]) or is_inner_image_factor(phi, image_of[c]):
+            return Word._trusted(c, phi.source)
+    return None
+
+
+def _if_on_every_word(phi: Morphism) -> bool:
+    """Whether phi is interference-free on every nonempty word, decided on
+    the first call for each morphism and kept in its ``__dict__``, as a
+    ``cached_property`` keeps its value; the automaton of that decision is
+    dropped."""
+    flags = phi.__dict__
+    flag = flags.get(_FLAG)
+    if flag is None:
+        flag = flags[_FLAG] = interference_free_on_every_word(phi) is None
+    return flag
+
+
 def is_strongly_interference_free(phi: Morphism) -> StrongInterferenceDecision:
     """phi is strongly interference-free iff it is interference-free on every
-    single source symbol."""
-    for c in phi.source.symbols:
-        decision = is_interference_free_on(phi, Word._trusted(c, phi.source))
-        if not decision:
-            return StrongInterferenceDecision(False, c, decision.witness)
-    return StrongInterferenceDecision(True)
+    single source symbol, that is, on every nonempty word.  The first
+    symbol on which it is not is the failing symbol, and the decision on
+    that symbol gives the witness."""
+    u = interference_free_on_every_word(phi)
+    if u is None:
+        return StrongInterferenceDecision(True)
+    return StrongInterferenceDecision(False, u.text, is_interference_free_on(phi, u).witness)
 

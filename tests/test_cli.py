@@ -37,6 +37,24 @@ class TestCheckIf:
         assert record["result"] == "NOT-IF"
         assert record["word"] == "abaab"
 
+    @pytest.mark.parametrize("spec, line", [
+        ("a->ab;b->a", "command=check-if result=NOT-IF word=b"),
+        ("a->abc;b->ac;c->b", "command=check-if result=NOT-IF word=c"),
+        ("a->aab;b->bba", "command=check-if result=IF"),
+    ])
+    def test_every_word(self, capsys, spec, line):
+        code, out, _ = run(capsys, "check-if", "--morphism", spec, "--every-word",
+                           "--format", "machine")
+        assert out.strip() == line
+        assert code == (1 if "NOT-IF" in line else 0)
+
+    @pytest.mark.parametrize("which", [(), ("--word", "ab", "--every-word")])
+    def test_one_of_word_and_every_word(self, capsys, which):
+        with pytest.raises(SystemExit) as caught:
+            main(["check-if", "--morphism", "a->ab;b->a", *which])
+        assert caught.value.code == 2
+        assert "--every-word" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "check-if", "--morphism", "nonsense",
                            "--word", "ab")

@@ -74,7 +74,7 @@ def test_public_names_are_pinned():
         "enumerate_interfered_factorizations", "enumeration", "errors",
         "extensions", "fibonacci_G", "fibonacci_alpha", "fibonacci_delta",
         "fibonacci_number", "fibonacci_word", "flip", "interference",
-        "is_inner_image_factor", "is_interference_free_on", "is_recognizable_on",
+        "interference_free_on_every_word", "is_inner_image_factor", "is_interference_free_on", "is_recognizable_on",
         "is_strongly_interference_free", "longest_proper_prefix", "morphisms",
         "mus_to_net", "naive_mus", "naive_net_occurrences", "occ_count",
         "occurrences", "repeats", "structural_checks", "thue_morse_word",

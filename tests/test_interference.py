@@ -19,15 +19,20 @@ from morphlab import (
     count_image_factorizations,
     enumerate_interfered_factorizations,
     fibonacci_word,
+    interference_free_on_every_word,
     is_inner_image_factor,
     is_interference_free_on,
     is_strongly_interference_free,
     thue_morse_word,
     word,
 )
-from morphlab import interference
+from morphlab import interference, morphisms
 from morphlab.aho_corasick import p_pref_lengths, p_suf_lengths
-from morphlab.errors import AlphabetMismatchError, NonInjectiveMorphismError
+from morphlab.errors import (
+    AlphabetMismatchError,
+    BudgetExceededError,
+    NonInjectiveMorphismError,
+)
 from morphlab.interference import (
     _ROW,
     _SLICE,
@@ -36,6 +41,7 @@ from morphlab.interference import (
     INTERFERED_FACTORIZATION,
     InterferenceDecision,
     InterferenceWitness,
+    StrongInterferenceDecision,
     affix_donor,
 )
 
@@ -677,6 +683,154 @@ class TestPinnedWitnesses:
             tracemalloc.stop()
         assert type(w.y) is str and len(w.y) == len(u) - 1
         assert peak < sys.getsizeof((None,) * (len(u) - 1)), peak
+
+
+def first_interfering_word(phi, longest):
+    """The shortest, then lexicographically smallest (in source order)
+    word of at most ``longest`` symbols on which the brute-force oracle
+    finds phi not IF, else None."""
+    for n in range(1, longest + 1):
+        for symbols in product(phi.source.symbols, repeat=n):
+            u = Word("".join(symbols), phi.source)
+            if not brute_force_is_interference_free(phi, u):
+                return u.text
+    return None
+
+
+def text_of(u):
+    return None if u is None else u.text
+
+
+def fresh(name):
+    """A new object of the named morphism, with no cached property."""
+    return Morphism.parse(NAMED_MORPHISMS[name].morphism.format())
+
+
+@st.composite
+def ternary_morphism(draw):
+    """An injective morphism of {a, b, c} with images of length 1..5 over
+    {a, b, c}."""
+    image = st.text(alphabet="abc", min_size=1, max_size=5)
+    phi = Morphism.from_map({c: draw(image) for c in "abc"})
+    assume(phi.is_injective)
+    return phi
+
+
+class TestEveryWord:
+    """phi is IF on every nonempty word iff it is IF on every symbol; the
+    answer is the shortest, then smallest word on which it is not."""
+
+    def test_agrees_with_brute_force_on_the_binary_sweep(self, small_injective_morphisms):
+        kinds = set()
+        for phi in small_injective_morphisms:
+            got = interference_free_on_every_word(phi)
+            assert got is None or got.alphabet == phi.source
+            assert text_of(got) == first_interfering_word(phi, 8), phi.format()
+            kinds.add(got is None)
+        assert kinds == {True, False}
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(ternary_morphism())
+    def test_agrees_with_brute_force_on_ternary_morphisms(self, phi):
+        got = interference_free_on_every_word(phi)
+        assert text_of(got) == first_interfering_word(phi, 6), phi.format()
+
+    @pytest.mark.parametrize("name, answer", [
+        ("mephisto-waltz", None), ("thue-morse-morse", None), ("last-nonzero-digit", None),
+        ("fibonacci", "b"), ("thue-morse", "a"), ("variant-thue-morse", "c"),
+    ])
+    def test_named_morphisms(self, name, answer):
+        phi = fresh(name)
+        got = interference_free_on_every_word(phi)
+        assert text_of(got) == answer
+        if answer is not None:
+            assert not is_interference_free_on(phi, got)
+        # variant-thue-morse fails by the inner kind: phi(c) = b lies inside abc
+        if name == "variant-thue-morse":
+            assert is_interference_free_on(phi, got).witness.kind == INNER_IMAGE_FACTOR
+
+    def test_is_strong_interference_freeness(self, small_injective_morphisms):
+        # strongly IF by its definition: IF on each symbol, the first that
+        # fails and its decision's witness reported
+        for phi in small_injective_morphisms:
+            decisions = [(c, is_interference_free_on(phi, Word(c, phi.source)))
+                         for c in phi.source.symbols]
+            failing = [(c, d.witness) for c, d in decisions if not d]
+            c, witness = failing[0] if failing else (None, None)
+            strong = is_strongly_interference_free(phi)
+            assert strong == StrongInterferenceDecision(not failing, c, witness), phi.format()
+            assert text_of(interference_free_on_every_word(phi)) == c, phi.format()
+
+    def test_applies_phi_to_no_word_and_keeps_no_run(self, monkeypatch):
+        # so the first long decision of a morphism in a fresh process adds no
+        # phi application and no run to the ones its own tests count
+        def refused(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(Morphism, "apply_text", refused)
+        monkeypatch.setattr(interference, "_run_automaton", refused)
+        for name in sorted(NAMED_MORPHISMS):
+            interference_free_on_every_word(fresh(name))
+            interference._if_on_every_word(fresh(name))
+
+    def test_over_the_affix_budget(self, monkeypatch):
+        # the affix sets are read, and refused, before image_ends is built;
+        # a long decision raises as it did before it read the flag
+        monkeypatch.setattr(morphisms, "AFFIX_BUDGET", 3)
+        phi = Morphism.parse("a->abcd;b->b")
+        with pytest.raises(BudgetExceededError, match="6 characters"):
+            interference_free_on_every_word(phi)
+        with pytest.raises(BudgetExceededError, match="6 characters"):
+            is_interference_free_on(phi, Word("ab" * _SLICE, phi.source))
+        assert "image_ends" not in vars(phi)
+
+    def test_rejects_non_injective(self):
+        with pytest.raises(NonInjectiveMorphismError):
+            interference_free_on_every_word(Morphism.parse("a->a;b->ab;c->b"))
+
+
+def test_if_on_every_word_decides_long_words_without_a_run(monkeypatch):
+    runs = []
+    run_automaton = interference._run_automaton
+
+    def keeping(*args):
+        runs.append(run_automaton(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(interference, "_run_automaton", keeping)
+    phi = fresh("mephisto-waltz")
+    u = fibonacci_word(26)
+    assert is_interference_free_on(phi, u) == InterferenceDecision(True)
+    assert runs == []
+    # the flag is kept on the morphism, not on the word or the module
+    assert is_interference_free_on(phi, fibonacci_word(26)) == InterferenceDecision(True)
+    assert runs == []
+    assert vars(phi)[interference._FLAG] is True
+    # one slice or less is read without the flag, and by a run
+    v = Word(u.text[:_SLICE], u.alphabet)
+    assert is_interference_free_on(phi, v) == reference_decision(phi, v)
+    assert len(runs) == 1
+
+
+def test_short_words_neither_compute_nor_read_the_flag(monkeypatch):
+    reads = []
+    flag = interference._if_on_every_word
+
+    def counting(phi):
+        reads.append(phi.format())
+        return flag(phi)
+
+    monkeypatch.setattr(interference, "_if_on_every_word", counting)
+    for name in sorted(NAMED_MORPHISMS):
+        phi = fresh(name)
+        for n in (1, 2, _SUB, _SLICE - 1, _SLICE):
+            u = Word(_iterate_prefix(phi, n), phi.source)
+            assert is_interference_free_on(phi, u) == reference_decision(phi, u), (name, n)
+        assert not reads and interference._FLAG not in vars(phi), name
+        u = Word(_iterate_prefix(phi, _SLICE + 1), phi.source)
+        assert is_interference_free_on(phi, u) == reference_decision(phi, u), name
+        assert reads == [phi.format()], name
+        reads.clear()
 
 
 class TestStrong:
