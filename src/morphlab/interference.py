@@ -40,8 +40,8 @@ depends only on its distance past the cut, not on the cut itself, so a
 transition depends only on the state's key (tail, masks, pending seeds).
 Transitions are memoized per call, on each state's row keyed by the symbol,
 and every state, the initial one included, is interned by its key; no
-state is cached across calls (a morphism keeps one flag, see "Every
-word" below).  So the run is one DFA over the source alphabet from its
+state is cached across calls (a morphism keeps a flag and an int, see
+"The jump" and "Every word" below).  So the run is one DFA over the source alphabet from its
 initial state.  Interning cannot merge two positions of one run at a
 state with pending seeds: a pending seed's distance is the seed minus the
 cut, and the cut strictly increases, as the images of an injective phi
@@ -53,7 +53,8 @@ is composed from its symbols.  A missed slice whose first sub-slice has an
 entry in the state is composed from its sub-slices (the last one may be
 shorter); otherwise from its first sub-slice, which is stored, and then its
 symbols.  So sub-slices are stored where they repeat, and a word whose
-sub-slices never repeat stores one per slice.
+sub-slices never repeat stores one per slice.  A word of 2 ``_SLICE`` + D
+symbols or more may skip its middle instead (see "The jump").
 
 Every entry is exact and leaves its symbol steps memoized.  Claim: once
 S[v] is stored for a string v, it is the state that the symbol-by-symbol
@@ -65,6 +66,40 @@ read on the state that the run has reached there; a hit is an entry stored
 earlier and a miss is computed now, and both satisfy the claim by
 induction.  No entry is ever removed within a call.  So the states inside
 any slice can be rebuilt from the state at its start by memo hits alone.
+
+**The jump.**  Two facts let a decision on a long u read only its ends.
+
+* Seeds are independent.  Each bit of a mask evolves by the DP rule alone:
+  a pending seed is set at its own position, and bits are ORed along image
+  occurrences under tail tests that read only the text.  So the bits of
+  seed 0 follow the run from ``start(())``, the state with no P_pref seed,
+  over the same prefix.  Once ``ahead`` is empty and every mask is at most
+  1, no other seed can come back, and the state's key is the one that the
+  run from ``start(())`` reaches: from there on the two runs pass the same
+  interned states.
+* The automaton may be definite (Perles, Rabin & Shamir, "The theory of
+  definite automata", IEEE Trans. Electronic Computers EC-12, 1963): its
+  delay D is the least D such that every word of length D sends all the
+  states reachable from ``start(())`` to one state.  For a code this is a
+  bounded synchronization delay (Berstel, Perrin & Reutenauer, *Codes and
+  Automata*, 2009).  :func:`_definite_delay` computes D, or None when
+  there is none or the states pass ``_DELAY_BUDGET``, on the first
+  decision of a morphism that could jump, and keeps the int in its
+  ``__dict__`` beside the every-word flag; a u of fewer than 2 ``_SLICE``
+  symbols neither computes nor reads it.  D is 1 for five of the named
+  morphisms and 2 for ``variant-thue-morse``.
+
+So when the state after the first slice, u[:``_SLICE``], has no pending
+seed and no mask bit but seed 0's, and phi has a delay D with |u| >= 2
+``_SLICE`` + D, the state after u[:j], j = |u| - ``_SLICE``, is the one that
+u[j - D:j] reaches from the first slice's end: both are states reachable
+from ``start(())``, and u[j - D:j] sends them to one state.  The run then
+reads the last slice from it.  Every other decision reads all of u.  A
+jumped decision costs O(``_SLICE`` + D) memo steps whatever |u|, besides
+the C-level ``str.count`` calls of a witness; on Fibonacci and Thue-Morse
+words the first slice already leaves seed 0 alone.  The state after any
+prefix in the skipped middle is still the symbol-by-symbol run's, rebuilt
+from the first slice's end when the backtrack asks for it.
 
 P_pref and P_suf come from :func:`aho_corasick.p_pref_lengths` and
 :func:`aho_corasick.p_suf_lengths`, which look up the prefixes of phi of
@@ -78,9 +113,12 @@ reached (:func:`_accepting`, passes 1 and 2 on the final state).
 Only |phi(u)| <= max|img| - 2 permits the inner kind, and then phi(u) is
 that head.
 
-A call reaches at most |u| + 1 states, each of O(max|img|) size, so the
-state memory is O(|u| max|img|) in the worst case; the classic inputs of
-the benchmark reach three or four.  A memo hit is one C-level dict lookup,
+A call reaches at most |u| + 1 states, and a jumped one at most 2
+``_SLICE`` + D + 1 unless its backtrack enters the middle, each of
+O(max|img|) size, so the state memory is O(|u| max|img|) in the worst
+case; the classic inputs of the benchmark reach three or four.  The
+costs below are those of a run that reads all of u.  A memo hit is one
+C-level dict lookup,
 and the keys are cut in C as well, by ``itemgetter`` calls of precomputed
 ``slice`` objects: u into its slices, one row of 64 slices per call, and a
 missed slice into its sub-slices after the first, in one call.  So the
@@ -97,11 +135,14 @@ sub-slices never repeat (random binary or ternary words) no missed slice
 finds its first sub-slice, so each costs one more dict lookup, one stored
 sub-slice and two string copies.
 
-**The witness.**  The run keeps the state after each slice; the state
-after any other prefix of u is rebuilt from the state at the start of its
-slice by memo hits alone, and it is the object that the symbol-by-symbol
-run reaches (:class:`_Run`).  So the backtrack reads the same frames as a
-run that records every state, and slicing cannot change the witness.
+**The witness.**  The run keeps the states at its segment ends: after
+each slice, or after the first slice, the skipped middle and the last
+slice of a jump.  The state after any other prefix of u is rebuilt from
+the state at the start of its segment, by memo hits alone inside a slice,
+and it is the object that the symbol-by-symbol run reaches
+(:class:`_Run`).  So the backtrack reads the same frames as a run that
+records every state, and neither slicing nor the jump can change the
+witness; a backtrack that enters the middle only costs its symbol steps.
 The masks of any position follow from the state of the step that covers
 it, and the backtrack applies the rule of the text-level DP over the
 positions of w, which ``tests/test_interference.py`` keeps as the
@@ -110,7 +151,7 @@ takes the first predecessor in start order (the longest image first, then
 source order) that the witness's seed reaches, until it stands on that
 seed.  A stretch of the path along canonical cuts that the seed reaches
 is copied as ``u[h:k]`` in one piece, and h is found by bisection over the
-slice ends, then inside one slice.  That is sound:
+segment ends, then inside one segment.  That is sound:
 let the seed s reach the cuts c_h, ..., c_k of u[:h], ..., u[:k].  At each
 c_i with h < i <= k, the occurrence of phi(u[i-1]) from c_(i-1) is a
 predecessor that s reaches.  Any predecessor that s reaches ends an image
@@ -156,9 +197,8 @@ The window automaton decides a symbol c in one step from the state
 before it, with P_pref from phi(c) and P_suf from the state's tail:
 |Sigma| steps for the whole morphism, with no run kept and phi applied
 to no word (:func:`interference_free_on_every_word`).  Its answer for a
-morphism is
-the one thing kept across calls, as a flag in the morphism's
-``__dict__``: a decision on a u of more than ``_SLICE`` symbols reads it
+morphism is kept across calls, as a flag in the morphism's ``__dict__``
+beside the delay: a decision on a u of more than ``_SLICE`` symbols reads it
 (computing it once per morphism) and, when phi is IF on every word,
 returns IF without a run.  A shorter u costs at most ``_SLICE`` symbol
 steps, so it neither computes nor reads the flag.  A NOT-IF decision
@@ -167,10 +207,11 @@ still runs on u, since its witness is one of u's own factorizations.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
+from math import isqrt
 from operator import getitem, itemgetter
 
 from .aho_corasick import p_pref_lengths, p_suf_lengths
@@ -181,6 +222,9 @@ from .words import Word
 _SLICE = 128  # symbols of u per memoized slice transition (see _run_automaton)
 _SUB = 16  # symbols per memoized sub-slice a slice is composed from (see _State)
 _FLAG = "_if_on_every_word"  # the key of that flag in a morphism's __dict__
+_DELAY = "_window_delay"  # the key of the delay of phi's automaton, beside the flag
+# pairs of states times source symbols that computing the delay may visit
+_DELAY_BUDGET = 1 << 16
 _ROW = 64 * _SLICE  # symbols per row, which _slices cuts in one C call
 # the slices of a row, in one C call; "" past the end of a shorter row
 _row_slices = itemgetter(*(slice(i, i + _SLICE) for i in range(0, _ROW, _SLICE)))
@@ -333,56 +377,60 @@ class _State(dict):
 
 
 class _Run:
-    """The states of one run of the automaton over u, kept at slice ends.
+    """The states of one run of the automaton over u, kept at segment ends.
 
-    ``states[i]`` is the state after u[:i * step], and the last one the
-    state after u; the last slice may be shorter.  A word of at most
-    ``_SLICE`` symbols is read symbol by symbol, with step 1.  The states
-    inside a slice are rebuilt on demand, once per slice, from the state at
-    its start: they are the same objects that a symbol-by-symbol run
-    records, so the backtrack reads the same frames.
+    ``states[i]`` is the state after u[:ends[i]], from ``ends[0]`` = 0 to
+    the last end, |u|.  A word of at most ``_SLICE`` symbols is read symbol
+    by symbol, so every prefix is an end.  A longer one ends a segment at
+    each slice end, or, when the run jumps (see :func:`_run_automaton`), at
+    the ends of its first slice, of the skipped middle and of its last
+    slice.  The states inside a segment are rebuilt on demand, once per
+    segment, from the state at its start: they are the same objects that a
+    symbol-by-symbol run records, so the backtrack reads the same frames.
     """
 
-    __slots__ = ("text", "step", "states", "_inside")
+    __slots__ = ("text", "ends", "states", "_inside")
 
-    def __init__(self, text, step, states):
+    def __init__(self, text, ends, states):
         self.text = text
-        self.step = step
+        self.ends = ends
         self.states = states
         self._inside = {}
 
-    def _slice(self, i):
-        """The states after each prefix of slice i, from the one at its start."""
+    def _segment(self, i):
+        """The states after each prefix of segment i, from the one at its start."""
         states = self._inside.get(i)
         if states is None:
-            begin = i * self.step
-            chunk = self.text[begin : begin + self.step]
+            chunk = self.text[self.ends[i] : self.ends[i + 1]]
             states = self._inside[i] = list(accumulate(chunk, getitem, initial=self.states[i]))
         return states
 
     def state(self, k):
         """The state after u[:k]."""
-        i, r = divmod(k, self.step)
-        return self._slice(i)[r] if r else self.states[i]
+        i = bisect_right(self.ends, k) - 1
+        r = k - self.ends[i]
+        return self._segment(i)[r] if r else self.states[i]
 
     def first_reaching(self, seed, k):
         """The least h < k such that ``seed`` reaches the cut of u[:h], else k.
 
         A seed that reaches the cut of u[:h] reaches every later cut, along
         the occurrences of phi(u[h]), phi(u[h + 1]), ...  So the bisection
-        runs over the states at the slice ends before k first, and then
-        inside the one slice that holds h (an empty range when step is 1).
+        runs over the states at the segment ends before k first, and then
+        inside the one segment that holds h (an empty range when it has one
+        symbol).
         """
-        step = self.step
+        ends = self.ends
 
         def reached(state):
             return state.window[-1] >> seed & 1
 
-        j = bisect_left(self.states, 1, 0, -(-k // step), key=reached)
+        j = bisect_left(self.states, 1, 0, bisect_left(ends, k), key=reached)
         if j == 0:
             return 0
-        begin = (j - 1) * step  # h lies in this slice, whose start the seed does not reach
-        return begin + bisect_left(self._slice(j - 1), 1, 1, min(step, k - begin), key=reached)
+        begin = ends[j - 1]  # h lies in this segment, whose start the seed does not reach
+        return begin + bisect_left(
+            self._segment(j - 1), 1, 1, min(ends[j], k) - begin, key=reached)
 
 
 def _automaton(phi: Morphism):
@@ -444,11 +492,26 @@ def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
     its first symbol, whose ``ahead`` holds every P_pref seed: one memoized
     transition per slice of ``_SLICE`` symbols (composed from its
     sub-slices, see :class:`_State`), or per symbol when u fits in one
-    slice."""
+    slice.
+
+    The run jumps over the middle of u when the first slice leaves only
+    seed 0 alive and phi has a delay D with |u| >= 2 ``_SLICE`` + D: the
+    state after u[:j], j = |u| - ``_SLICE``, is then the one that the D
+    symbols before j reach from the first slice's end (see the module
+    docstring), and the last slice is read from it."""
     state = _automaton(phi)(p_pref)
-    if len(text) <= _SLICE:
-        return _Run(text, 1, list(accumulate(text, getitem, initial=state)))
-    return _Run(text, _SLICE, list(accumulate(_slices(text), getitem, initial=state)))
+    size = len(text)
+    if size <= _SLICE:
+        return _Run(text, range(size + 1), list(accumulate(text, getitem, initial=state)))
+    first = state[text[:_SLICE]]
+    if size >= 2 * _SLICE and not first.ahead and max(first.window) <= 1:
+        delay = _window_delay(phi)
+        j = size - _SLICE
+        if delay is not None and j - delay >= _SLICE:
+            middle = reduce(getitem, text[j - delay : j], first)
+            return _Run(text, (0, _SLICE, j, size), [state, first, middle, middle[text[j:]]])
+    ends = [*range(0, size, _SLICE), size]
+    return _Run(text, ends, list(accumulate(_slices(text), getitem, initial=state)))
 
 
 def _accepting(phi: Morphism, state: _State) -> tuple[int, int] | None:
@@ -547,7 +610,8 @@ def is_interference_free_on(phi: Morphism, u: Word) -> InterferenceDecision:
     A u of more than ``_SLICE`` symbols is IF at once when phi is IF on
     every word, a flag that the morphism's first such decision computes;
     a shorter u is read in at most ``_SLICE`` symbol steps, so it neither
-    computes nor reads the flag."""
+    computes nor reads the flag.  A longer u may skip its middle, by the
+    delay of phi (see :func:`_run_automaton`)."""
     phi.require_injective("interference-freeness")
     if len(u) == 0:
         raise ValueError("interference-freeness is defined for nonempty words")
@@ -627,3 +691,63 @@ def is_strongly_interference_free(phi: Morphism) -> StrongInterferenceDecision:
         return StrongInterferenceDecision(True)
     return StrongInterferenceDecision(False, u.text, is_interference_free_on(phi, u).witness)
 
+
+def _definite_delay(phi: Morphism) -> int | None:
+    """The delay D of the window automaton of phi from ``start(())``: the
+    least D such that every word of length D sends all the states reachable
+    from it to one state.  None when there is no such D (the automaton is
+    not definite), or when the states exceed the budget.
+
+    The states are found breadth first, on an automaton of their own, and
+    dropped on return.  The graph that joins each pair (p, q) of distinct
+    states to (p[a], q[a]), when those differ, has a path of n edges iff
+    some word of length n keeps two states apart.  So the automaton is
+    definite iff that graph is acyclic, and D is then 1 + its longest path
+    (0 for a single state).  Its pairs are visited in topological order, so
+    the work is O(pairs |Sigma|): at most ``_DELAY_BUDGET`` pair steps, as
+    the search gives up at the state that would pass it."""
+    symbols = phi.source.symbols
+    limit = isqrt(2 * _DELAY_BUDGET // len(symbols))  # states within the budget
+    start = _automaton(phi)(())
+    reached, index, rows = [start], {id(start): 0}, []
+    for state in reached:  # grows as new states are found
+        row = []
+        for a in symbols:
+            nxt = state[a]
+            i = index.get(id(nxt))
+            if i is None:
+                if len(reached) == limit:
+                    return None
+                i = index[id(nxt)] = len(reached)
+                reached.append(nxt)
+            row.append(i)
+        rows.append(row)
+    pairs = [(p, q) for q in range(len(rows)) for p in range(q)]
+    after, waiting = {}, dict.fromkeys(pairs, 0)  # successors and in-degrees
+    for p, q in pairs:
+        nxt = after[p, q] = [
+            (x, y) if x < y else (y, x) for x, y in zip(rows[p], rows[q]) if x != y]
+        for pair in nxt:
+            waiting[pair] += 1
+    order = [pair for pair, count in waiting.items() if not count]
+    for pair in order:  # grows as in-degrees fall to 0
+        for nxt in after[pair]:
+            waiting[nxt] -= 1
+            if not waiting[nxt]:
+                order.append(nxt)
+    if len(order) < len(pairs):
+        return None  # a cycle: some word keeps two states apart for ever
+    longest: dict[tuple[int, int], int] = {}
+    for pair in reversed(order):
+        longest[pair] = max((longest[nxt] + 1 for nxt in after[pair]), default=0)
+    return 1 + max(longest.values(), default=-1)
+
+
+def _window_delay(phi: Morphism) -> int | None:
+    """The delay of phi's window automaton (:func:`_definite_delay`),
+    computed on the first call for each morphism and kept in its
+    ``__dict__`` beside the every-word flag; the automaton is dropped."""
+    flags = phi.__dict__
+    if _DELAY not in flags:
+        flags[_DELAY] = _definite_delay(phi)
+    return flags[_DELAY]

@@ -2,6 +2,7 @@ import random
 import sys
 import tracemalloc
 from dataclasses import fields
+from functools import reduce
 from itertools import accumulate, product
 from operator import getitem
 
@@ -511,18 +512,25 @@ def _same_state_cases():
 @pytest.mark.parametrize("phi, text", _same_state_cases(), ids=lambda v: (
     v.format() if isinstance(v, Morphism) else str(len(v))))
 def test_slices_reach_the_states_of_the_symbol_run(phi, text):
-    # every slice ends in the state the symbol-by-symbol run reaches, and
-    # the symbol steps inside it are memo hits (dict.get never computes)
+    # every segment ends in the state the symbol-by-symbol run reaches, and
+    # the symbol steps inside it are memo hits (dict.get never computes):
+    # all of a slice, and the last D symbols of a skipped middle; every
+    # state the run rebuilds, inside a skipped middle too, is the symbol
+    # run's
     head = phi.apply_text(text[: phi.max_image_length])
     run = interference._run_automaton(phi, text, p_pref_lengths(phi, head))
-    assert run.step == _SLICE
-    for i, start in enumerate(run.states[:-1]):
-        state = start
-        for a in text[i * _SLICE : (i + 1) * _SLICE]:
+    ends = list(run.ends)
+    assert ends[0] == 0 and ends[-1] == len(text) and len(run.states) == len(ends)
+    for i, (begin, end) in enumerate(zip(ends, ends[1:])):
+        if end - begin > _SLICE:  # a skipped middle
+            begin = end - vars(phi)[interference._DELAY]
+        state = run.states[i]
+        for a in text[begin:end]:
             state = state.get(a)
             assert state is not None, (phi.format(), i)
         assert state is run.states[i + 1], (phi.format(), i)
     symbol_run = list(accumulate(text, getitem, initial=run.states[0]))
+    assert all(run.states[i] is symbol_run[end] for i, end in enumerate(ends)), phi.format()
     assert all(run.state(k) is s for k, s in enumerate(symbol_run)), phi.format()
 
 
@@ -562,9 +570,8 @@ def test_backtrack_expands_few_slices(monkeypatch):
     assert is_interference_free_on(FIBONACCI, fibonacci_word(26))
     assert not is_interference_free_on(FIBONACCI, fibonacci_word(25))
     if_run, not_if_run = runs
-    assert if_run.step == not_if_run.step == _SLICE
     assert not if_run._inside  # an IF decision reads only the last state
-    # at most the last slice, and the one where the seed first meets a cut
+    # at most the last segment, and the one where the seed first meets a cut
     assert len(not_if_run._inside) <= 2, sorted(not_if_run._inside)
 
 
@@ -587,8 +594,9 @@ def test_slices_compose_few_symbol_steps(monkeypatch):
 
 def test_sub_slices_that_do_not_repeat_are_not_kept():
     # on a random ternary word no first sub-slice repeats in a state, so
-    # each missed slice is composed from its symbols and keeps one sub-slice
-    phi = NAMED_MORPHISMS["variant-thue-morse"].morphism
+    # each missed slice is composed from its symbols and keeps one sub-slice;
+    # the morphism has no delay, so the run reads every slice
+    phi = Morphism.parse("a->a;b->ab;c->bb")
     text = "".join(random.Random(3).choices("abc", k=3000))
     run = interference._run_automaton(phi, text, set())
     seen, todo, kept = set(), [run.states[0]], 0
@@ -846,3 +854,266 @@ class TestStrong:
         phi = Morphism.parse("a->aab;b->bba")
         for c in "ab":
             assert is_interference_free_on(phi, word(c))
+
+
+# -- the jump over the middle of u (the delay of a definite automaton) --------
+
+
+def _jumped(run):
+    """Whether the run skipped a middle: a segment longer than a slice."""
+    return any(end - begin > _SLICE for begin, end in zip(run.ends, run.ends[1:]))
+
+
+def _reachable(phi):
+    """The states of a fresh automaton of phi reachable from start(())."""
+    start = interference._automaton(phi)(set())
+    reached, seen = [start], {id(start)}
+    for state in reached:
+        for a in phi.source.symbols:
+            nxt = state[a]
+            if id(nxt) not in seen:
+                seen.add(id(nxt))
+                reached.append(nxt)
+    return reached
+
+
+def _synchronizes(states, word):
+    return len({id(reduce(getitem, word, state)) for state in states}) == 1
+
+
+def _delay_by_pair_sets(phi):
+    """The delay by another route: the distinct pairs that the words of
+    length L leave apart, for L = 0, 1, ..., until none is left (the
+    delay) or L passes the number of pairs (a cycle: None)."""
+    states = _reachable(phi)
+    index = {id(state): i for i, state in enumerate(states)}
+    step = [[index[id(state[a])] for a in phi.source.symbols] for state in states]
+    apart = {(p, q) for p in range(len(states)) for q in range(len(states)) if p != q}
+    for length in range(len(apart) + 2):
+        if not apart:
+            return length
+        apart = {(x, y) for p, q in apart for x, y in zip(step[p], step[q]) if x != y}
+    return None
+
+
+class _Decisions:
+    """Decisions with the jump and, with the delay forced to None, in full.
+    Every morphism is decided by a run: the every-word flag is forced off,
+    so the three morphisms that are IF on every word reach the jump too."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.runs = []
+        run_automaton = interference._run_automaton
+
+        def keeping(*args):
+            self.runs.append(run_automaton(*args))
+            return self.runs[-1]
+
+        monkeypatch.setattr(interference, "_run_automaton", keeping)
+        monkeypatch.setattr(interference, "_if_on_every_word", lambda phi: False)
+
+    def check(self, phi, text):
+        """The decision on ``text``, checked equal to the full run's, and
+        whether its run jumped."""
+        u = Word(text, phi.source)
+        self.runs.clear()
+        got = is_interference_free_on(phi, u)
+        with self.monkeypatch.context() as m:
+            m.setattr(interference, "_window_delay", lambda phi: None)
+            full = is_interference_free_on(phi, u)
+        jumped, full_jumped = map(_jumped, self.runs)
+        assert not full_jumped
+        assert got == full, (phi.format(), len(text))
+        return got, jumped
+
+
+class TestJump:
+    """A jumped decision equals the full run's field for field."""
+
+    def test_named_morphisms_on_classic_words(self, monkeypatch):
+        decisions = _Decisions(monkeypatch)
+        words = [fibonacci_word(i).text for i in range(8, 31)]
+        words += [thue_morse_word(i).text for i in range(6, 23)]
+        for name, named in sorted(NAMED_MORPHISMS.items()):
+            phi = named.morphism
+            for text in words if phi.source.is_binary else [
+                    _iterate_prefix(phi, 3**i) for i in range(4, 12)]:
+                _, jumped = decisions.check(phi, text)
+                # no seed but 0 lives past the first slice, so the run skips a
+                # middle, longer than a slice once |u| > 3 _SLICE
+                assert jumped == (len(text) > 3 * _SLICE), (name, len(text))
+
+    @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
+    def test_named_morphisms_on_random_words(self, monkeypatch, n):
+        decisions = _Decisions(monkeypatch)
+        rng = random.Random(n)
+        for _, named in sorted(NAMED_MORPHISMS.items()):
+            phi = named.morphism
+            for _ in range(2):
+                _, jumped = decisions.check(phi, "".join(rng.choices(phi.source.symbols, k=n)))
+                assert jumped
+
+    def test_random_morphisms(self, monkeypatch):
+        decisions = _Decisions(monkeypatch)
+        rng = random.Random(27)
+        kinds = set()
+        for _ in range(60):
+            source = "abc"[: rng.randint(2, 3)]
+            phi = Morphism.from_map(
+                {c: "".join(rng.choices("abc", k=rng.randint(1, 4))) for c in source})
+            if not phi.is_injective:
+                continue
+            iterate = Morphism.from_map(
+                {c: "".join(rng.choices(source, k=rng.randint(1, 3))) for c in source})
+            for n in (129, 2 * _SLICE, 2 * _SLICE + 1, 2 * _SLICE + 3, 3 * _SLICE + 1, 1000, 5000):
+                for text in ("".join(rng.choices(source, k=n)), _iterate_prefix(iterate, n)):
+                    got, jumped = decisions.check(phi, text)
+                    kinds.add((jumped, got.interference_free))
+        # jumped and full runs, each with IF and NOT-IF decisions
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}, kinds
+
+    def test_refused_when_not_definite(self, monkeypatch):
+        # the b-runs of a->a;b->ab;c->bb keep two parses alive
+        phi = Morphism.parse("a->a;b->ab;c->bb")
+        assert interference._window_delay(phi) is None
+        u = Word("b" + "c" * 2000, phi.source)
+        got, jumped = _Decisions(monkeypatch).check(phi, u.text)
+        assert got == reference_decision(phi, u) and not jumped
+
+    def test_refused_while_a_seed_outlives_the_first_slice(self, monkeypatch):
+        # phi(a^300) = (ab)^300 parses as b . (ab)(ab)... and as a . (ba)(ba)...:
+        # seed 1 lives past the first slice, so the run reads every slice
+        phi = NAMED_MORPHISMS["thue-morse"].morphism
+        assert interference._window_delay(phi) == 1
+        u = Word("a" * 300 + thue_morse_word(12).text, phi.source)
+        got, jumped = _Decisions(monkeypatch).check(phi, u.text)
+        assert got == reference_decision(phi, u) and not jumped
+
+
+class TestDelay:
+    @pytest.mark.parametrize("name, delay", [
+        ("fibonacci", 1), ("last-nonzero-digit", 1), ("mephisto-waltz", 1),
+        ("thue-morse", 1), ("thue-morse-morse", 1), ("variant-thue-morse", 2)])
+    def test_named_morphisms(self, name, delay):
+        phi = fresh(name)
+        assert interference._window_delay(phi) == delay
+        assert vars(phi)[interference._DELAY] == delay
+        self._check_by_brute_force(phi, delay)
+
+    def test_random_morphisms(self):
+        rng = random.Random(11)
+        delays = []
+        while len(delays) < 200:
+            source = "abc"[: rng.randint(2, 3)]
+            phi = Morphism.from_map(
+                {c: "".join(rng.choices("abc", k=rng.randint(1, 4))) for c in source})
+            if not phi.is_injective:
+                continue
+            delay = interference._definite_delay(phi)
+            assert delay == _delay_by_pair_sets(phi), phi.format()
+            if delay is not None:
+                self._check_by_brute_force(phi, delay)
+            delays.append(delay)
+        assert None in delays and len(set(delays)) > 3, sorted(map(str, delays))
+
+    @staticmethod
+    def _check_by_brute_force(phi, delay):
+        # every word of length D sends the reachable states to one state,
+        # and some word of length D - 1 does not
+        states = _reachable(phi)
+        symbols = phi.source.symbols
+        assert all(_synchronizes(states, w) for w in product(symbols, repeat=delay)), phi.format()
+        if delay:
+            assert not all(_synchronizes(states, w) for w in product(symbols, repeat=delay - 1))
+
+    def test_over_the_budget(self, monkeypatch):
+        # two states at most: fibonacci's automaton has more, so it gets no
+        # delay, and its decisions read every slice and stay exact
+        monkeypatch.setattr(interference, "_DELAY_BUDGET", 4)
+        phi = fresh("fibonacci")
+        assert interference._window_delay(phi) is None
+        assert len(_reachable(phi)) > 2
+        runs = []
+        run_automaton = interference._run_automaton
+
+        def keeping(*args):
+            runs.append(run_automaton(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(interference, "_run_automaton", keeping)
+        for i in (13, 14):
+            u = fibonacci_word(i)
+            assert is_interference_free_on(phi, u) == reference_decision(phi, u), i
+        assert not any(map(_jumped, runs)) and len(runs) == 2
+
+    def test_short_words_neither_compute_nor_read_it(self, monkeypatch):
+        reads = []
+        delay = interference._window_delay
+
+        def counting(phi):
+            reads.append(phi.format())
+            return delay(phi)
+
+        monkeypatch.setattr(interference, "_window_delay", counting)
+        monkeypatch.setattr(interference, "_if_on_every_word", lambda phi: False)
+        for name in sorted(NAMED_MORPHISMS):
+            phi = fresh(name)
+            for n in (1, 2, _SUB, _SLICE - 1, _SLICE):
+                u = Word(_iterate_prefix(phi, n), phi.source)
+                assert is_interference_free_on(phi, u) == reference_decision(phi, u), (name, n)
+            assert not reads and interference._DELAY not in vars(phi), name
+
+
+def _counting_steps(monkeypatch):
+    """Symbol steps of every composition (``reduce`` calls) and memo misses
+    (``_State.__missing__`` calls), as lists that the decisions append to."""
+    steps, misses = [], []
+    reduce_ = interference.reduce
+    missing = interference._State.__missing__
+
+    def counting_reduce(function, keys, initial):
+        keys = list(keys)
+        steps.append(sum(len(key) == 1 for key in keys))
+        return reduce_(function, keys, initial)
+
+    def counting_missing(self, key):
+        misses.append(len(key))
+        return missing(self, key)
+
+    monkeypatch.setattr(interference, "reduce", counting_reduce)
+    monkeypatch.setattr(interference._State, "__missing__", counting_missing)
+    return steps, misses
+
+
+def test_jumped_decisions_cost_the_same_on_f_20_and_f_30(monkeypatch):
+    # F_30 ends with F_20, F_29 with F_19, and each starts with the other's
+    # first slice: a jumped decision reads only those, so it takes the same
+    # symbol steps and memo misses however long u is
+    phi = fresh("fibonacci")
+    is_interference_free_on(phi, fibonacci_word(19))  # the flag's and the delay's steps, once
+    steps, misses = _counting_steps(monkeypatch)
+    counts = {}
+    for i in (19, 20, 29, 30):
+        steps.clear()
+        misses.clear()
+        is_interference_free_on(phi, fibonacci_word(i))
+        counts[i] = sum(steps), len(misses)
+    assert counts[19] == counts[29] and counts[20] == counts[30], counts
+    # at most the first and the last slice, and the D symbols before the last
+    assert counts[20][0] <= 2 * _SLICE + vars(phi)[interference._DELAY], counts
+
+
+@pytest.mark.parametrize("n", [1000, 10_000, 100_000])
+def test_full_runs_miss_once_a_slice(monkeypatch, n):
+    # a->a;b->ab;c->bb has no delay, so its runs read every slice: on
+    # random words, whose slices never repeat, that is one slice miss per
+    # slice, and a bounded number of symbol and sub-slice misses for the
+    # automaton's finitely many states
+    phi = Morphism.parse("a->a;b->ab;c->bb")
+    _, misses = _counting_steps(monkeypatch)
+    for symbols in ("ab", "abc"):
+        misses.clear()
+        text = "".join(random.Random(n).choices(symbols, k=n))
+        is_interference_free_on(phi, Word(text, phi.source))
+        assert len(misses) <= n // _SLICE + 64, (symbols, len(misses))
