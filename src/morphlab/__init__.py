@@ -25,7 +25,6 @@ from .interference import (
     interference_free_on_every_word,
     is_inner_image_factor,
     is_interference_free_on,
-    is_strongly_interference_free,
 )
 from .enumeration import (
     CircularFactorization,

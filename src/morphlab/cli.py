@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: check-if, check-strong-if, check-recognizable, apply, occ,
-mus, netocc, gen, verify.  Word and morphism arguments are literals unless
-they start with ``@``, in which case the rest is a file path; a file of
-more than ``morphisms.LENGTH_BUDGET`` bytes is refused.
+Subcommands: check-if, check-recognizable, apply, occ, mus, netocc, gen,
+verify.  ``check-if --every-word`` reports the shortest, then smallest word
+on which a morphism is not interference-free.  Word and morphism arguments
+are literals unless they start with ``@``, in which case the rest is a file
+path; a file of more than ``morphisms.LENGTH_BUDGET`` bytes is refused.
 ``--format machine`` emits one ``key=value`` record per line (no nesting) so
 tests in any language can parse the output.
 
@@ -20,11 +21,7 @@ from pathlib import Path
 from . import classic, repeats
 from .enumeration import is_recognizable_on
 from .errors import BudgetExceededError, MorphlabError
-from .interference import (
-    interference_free_on_every_word,
-    is_interference_free_on,
-    is_strongly_interference_free,
-)
+from .interference import interference_free_on_every_word, is_interference_free_on
 from .morphisms import LENGTH_BUDGET, Morphism
 from .words import Word, occurrences, word
 
@@ -83,22 +80,6 @@ def _cmd_check_if(args) -> int:
         word=u.text,
         result="NOT-IF",
         witness=w.describe().replace(" ", ","),
-    )
-    return 1
-
-
-def _cmd_check_strong_if(args) -> int:
-    phi = _morphism_arg(args.morphism)
-    decision = is_strongly_interference_free(phi)
-    if decision:
-        _emit(args, "STRONGLY-IF", command="check-strong-if", result="STRONGLY-IF")
-        return 0
-    _emit(
-        args,
-        f"NOT-STRONGLY-IF\nfailing symbol {decision.failing_symbol}",
-        command="check-strong-if",
-        result="NOT-STRONGLY-IF",
-        symbol=decision.failing_symbol,
     )
     return 1
 
@@ -278,10 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--word")
     which.add_argument("--every-word", action="store_true",
                        help="report the shortest, then smallest word that is not IF")
-
-    p = add("check-strong-if", _cmd_check_strong_if,
-            help="decide interference-freeness on every source symbol")
-    p.add_argument("--morphism", required=True)
 
     p = add("check-recognizable", _cmd_check_recognizable,
             help="decide recognizability via circular factorizations")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, NonInjectiveMorphismError
+from .errors import BudgetExceededError
 from .interference import INTERFERED_FACTORIZATION, InterferenceWitness, affix_donor
 from .morphisms import Morphism
 from .words import Word
@@ -225,11 +225,7 @@ def is_recognizable_on(phi: Morphism, u: Word) -> RecognizabilityDecision:
 def brute_force_is_interference_free(phi: Morphism, u: Word) -> bool:
     """Independent oracle for the interference decision: direct definition
     check by cut enumeration plus reachability, no automaton involved."""
-    if not phi.is_injective:
-        raise NonInjectiveMorphismError(
-            "interference-freeness is defined for injective morphisms only",
-            witness=phi.injectivity_witness,
-        )
+    phi.require_injective("interference-freeness")
     if len(u) == 0:
         raise ValueError("interference-freeness is defined for nonempty words")
     text = phi.apply_text(u.text)

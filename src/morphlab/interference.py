@@ -41,31 +41,17 @@ transition depends only on the state's key (tail, masks, pending seeds).
 Transitions are memoized per call, on each state's row keyed by the symbol,
 and every state, the initial one included, is interned by its key; no
 state is cached across calls (a morphism keeps a flag and an int, see
-"The jump" and "Every word" below).  So the run is one DFA over the source alphabet from its
-initial state.  Interning cannot merge two positions of one run at a
-state with pending seeds: a pending seed's distance is the seed minus the
-cut, and the cut strictly increases, as the images of an injective phi
-are nonempty.  A word of at
-most ``_SLICE`` symbols is read symbol by symbol, a longer one in slices of
-``_SLICE`` symbols from its first symbol.  A slice is one more key on the
-same rows, and so is a sub-slice of ``_SUB`` symbols.  A missed sub-slice
-is composed from its symbols.  A missed slice whose first sub-slice has an
-entry in the state is composed from its sub-slices (the last one may be
-shorter); otherwise from its first sub-slice, which is stored, and then its
-symbols.  So sub-slices are stored where they repeat, and a word whose
-sub-slices never repeat stores one per slice.  A word of 2 ``_SLICE`` + D
-symbols or more may skip its middle instead (see "The jump").
-
-Every entry is exact and leaves its symbol steps memoized.  Claim: once
-S[v] is stored for a string v, it is the state that the symbol-by-symbol
-run reaches from S over v, and the row of each state that run passes holds
-the next symbol of v.  By induction on |v|: a symbol's entry is the step
-itself.  A longer entry is a composition, ``reduce(getitem, ...)``, of
-shorter keys read one after another from S itself, so each key in it is
-read on the state that the run has reached there; a hit is an entry stored
-earlier and a miss is computed now, and both satisfy the claim by
-induction.  No entry is ever removed within a call.  So the states inside
-any slice can be rebuilt from the state at its start by memo hits alone.
+"The jump" and "Every word" below).  So the run is one DFA over the source
+alphabet from its initial state.  Interning cannot merge two positions of
+one run at a state with pending seeds: a pending seed's distance is the
+seed minus the cut, and the cut strictly increases, as the images of an
+injective phi are nonempty.  Every entry of a row is one symbol step, and
+no entry is removed within a call, so the states inside any stretch of u
+that the run has read can be rebuilt from the state at its start by memo
+hits alone.  A word of at most ``_SLICE`` symbols keeps the state after
+each symbol, a longer one the state after each slice of ``_SLICE``
+symbols.  A word of 2 ``_SLICE`` + D symbols or more may skip its middle
+instead (see "The jump").
 
 **The jump.**  Two facts let a decision on a long u read only its ends.
 
@@ -116,33 +102,24 @@ that head.
 A call reaches at most |u| + 1 states, and a jumped one at most 2
 ``_SLICE`` + D + 1 unless its backtrack enters the middle, each of
 O(max|img|) size, so the state memory is O(|u| max|img|) in the worst
-case; the classic inputs of the benchmark reach three or four.  The
-costs below are those of a run that reads all of u.  A memo hit is one
-C-level dict lookup,
-and the keys are cut in C as well, by ``itemgetter`` calls of precomputed
-``slice`` objects: u into its slices, one row of 64 slices per call, and a
-missed slice into its sub-slices after the first, in one call.  So the
-decision runs about |u| / ``_SLICE`` slice lookups (each hashes its
-slice); per distinct (state, slice) pair, ``_SLICE`` /
-``_SUB`` sub-slice lookups if its first sub-slice is stored, else one
-stored sub-slice and ``_SLICE`` symbol lookups; ``_SUB`` symbol lookups
-per distinct (state, sub-slice) pair; and O(k max|img|) Python work per
-distinct (state, symbol) pair, for a morphism with k images.  On a word
-built by a morphism the slices repeat (F_n has at most ``_SLICE`` + 1
-distinct factors of that length) and the sub-slices more: one decision on
-F_25 (75,025 symbols) composes 1,761 symbol steps.  On a word whose
-sub-slices never repeat (random binary or ternary words) no missed slice
-finds its first sub-slice, so each costs one more dict lookup, one stored
-sub-slice and two string copies.
+case; the classic inputs of the benchmark reach three or four.  A run that
+reads all of u costs |u| symbol lookups, each one C-level dict lookup in a
+``reduce`` over one slice, and O(k max|img|) Python work per distinct
+(state, symbol) pair, for a morphism with k images; a jumped decision
+costs 2 ``_SLICE`` + D lookups whatever |u|.  Rows hold no longer keys: a
+memoized slice would save lookups only on a long word whose slices repeat
+that is read in full, and a long decision on a classic word returns from
+the every-word flag or jumps.
 
 **The witness.**  The run keeps the states at its segment ends: after
 each slice, or after the first slice, the skipped middle and the last
 slice of a jump.  The state after any other prefix of u is rebuilt from
-the state at the start of its segment, by memo hits alone inside a slice,
-and it is the object that the symbol-by-symbol run reaches
-(:class:`_Run`).  So the backtrack reads the same frames as a run that
-records every state, and neither slicing nor the jump can change the
-witness; a backtrack that enters the middle only costs its symbol steps.
+the state at the start of its segment, by memo hits alone outside a
+skipped middle, and it is the object that the symbol-by-symbol run
+reaches (:class:`_Run`).  So the backtrack reads the same frames as a run
+that records every state, and neither keeping only the segment ends nor
+the jump can change the witness; a backtrack that enters the middle only
+costs its symbol steps.
 The masks of any position follow from the state of the step that covers
 it, and the backtrack applies the rule of the text-level DP over the
 positions of w, which ``tests/test_interference.py`` keeps as the
@@ -166,10 +143,9 @@ of one-symbol strings only when it is read.
 **Every word.**  (A result of this package, not taken from the paper.)
 The injective phi interferes on some nonempty word if and only if it
 interferes on one of its source symbols.  So phi is IF on every nonempty
-word exactly when it is strongly IF (:func:`is_strongly_interference_free`,
-IF on each single symbol), and the shortest, then lexicographically
-smallest word on which it interferes is its first such symbol in source
-order.  "If" holds as symbols are words.  Proof of "only if": let
+word exactly when it is strongly IF (IF on each single symbol), and the
+shortest, then lexicographically smallest word on which it interferes is
+its first such symbol in source order.  "If" holds as symbols are words.  Proof of "only if": let
 u = u_1 ... u_n with n >= 2, and L = |phi(u_1)| >= 1 (an injective phi
 is non-erasing).
 
@@ -212,36 +188,18 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from math import isqrt
-from operator import getitem, itemgetter
+from operator import getitem
 
 from .aho_corasick import p_pref_lengths, p_suf_lengths
 from .errors import AlphabetMismatchError
 from .morphisms import Morphism
 from .words import Word
 
-_SLICE = 128  # symbols of u per memoized slice transition (see _run_automaton)
-_SUB = 16  # symbols per memoized sub-slice a slice is composed from (see _State)
+_SLICE = 128  # symbols of u per segment of a run (see _run_automaton)
 _FLAG = "_if_on_every_word"  # the key of that flag in a morphism's __dict__
 _DELAY = "_window_delay"  # the key of the delay of phi's automaton, beside the flag
 # pairs of states times source symbols that computing the delay may visit
 _DELAY_BUDGET = 1 << 16
-_ROW = 64 * _SLICE  # symbols per row, which _slices cuts in one C call
-# the slices of a row, in one C call; "" past the end of a shorter row
-_row_slices = itemgetter(*(slice(i, i + _SLICE) for i in range(0, _ROW, _SLICE)))
-# the sub-slices of a slice after its first one, in one C call; "" past the
-# end of a shorter slice
-_rest = itemgetter(*(slice(i, i + _SUB) for i in range(_SUB, _SLICE, _SUB)))
-
-
-def _slices(text: str) -> list[str]:
-    """The slices of ``_SLICE`` symbols that u = ``text`` is read in; the
-    last may be shorter."""
-    pieces = []
-    for begin in range(0, len(text), _ROW):
-        pieces += _row_slices(text[begin : begin + _ROW])
-    del pieces[(len(text) + _SLICE - 1) // _SLICE :]  # the "" past the end of u
-    return pieces
-
 
 INTERFERED_FACTORIZATION = "interfered_factorization"
 INNER_IMAGE_FACTOR = "inner_image_factor"
@@ -288,16 +246,6 @@ class InterferenceDecision:
         return self.interference_free
 
 
-@dataclass(frozen=True)
-class StrongInterferenceDecision:
-    interference_free: bool
-    failing_symbol: str | None = None
-    witness: InterferenceWitness | None = None
-
-    def __bool__(self) -> bool:
-        return self.interference_free
-
-
 def affix_donor(phi: Morphism, part: str, *, suffix: bool) -> str | None:
     """The smallest source symbol whose image has ``part`` as a proper
     suffix (or prefix); None for an empty part."""
@@ -328,22 +276,11 @@ class _State(dict):
     last max|img| - 1 symbols of phi(u[:k]), ``window`` the seed masks of
     the max|img| positions c - max|img| + 1 .. c (0 before position 0), and
     ``ahead`` the P_pref seeds past c, as (seed - c, seed) pairs.  As a dict
-    the state maps a source symbol, or a slice of u, to the next state: a
-    missing entry is computed and stored, so ``accumulate(..., getitem)``
-    runs without a Python-level step on every memo hit.
-
-    A symbol's transition is computed by ``advance``, which keeps in
-    ``frames``, per symbol, the masks it computed, for the backtrack.  A
-    key of at most ``_SUB`` symbols is composed from its symbols,
-    ``reduce(getitem, key, state)``.  A longer one (a slice) is composed
-    from its sub-slices of ``_SUB`` symbols, each one more key on the rows
-    it passes, when its first sub-slice has an entry here; otherwise from
-    that sub-slice, stored, and then its symbols.  Either way the
-    composition starts at this state, so the entry is the state that the
-    symbol-by-symbol run reaches, and every step along it is left memoized
-    in the rows it passes through: the states inside a slice can be rebuilt
-    later from the state at its start by memo hits alone (see the module
-    docstring).
+    the state maps a source symbol to the next state: a missing entry is
+    computed by ``advance`` and stored, so ``reduce(getitem, ...)`` and
+    ``accumulate(..., getitem)`` run without a Python-level step on every
+    memo hit.  ``advance`` keeps in ``frames``, per symbol, the masks it
+    computed, for the backtrack.
     """
 
     __slots__ = ("tail", "window", "ahead", "frames", "advance")
@@ -355,24 +292,8 @@ class _State(dict):
         self.frames = {}
         self.advance = advance
 
-    def __missing__(self, key):
-        size = len(key)
-        if size == 1:
-            nxt = self.advance(self, key)
-        elif size <= _SUB:
-            nxt = reduce(getitem, key, self)
-        else:  # a slice: from its sub-slices once its first one has an entry here
-            head = key[:_SUB]
-            nxt = self.get(head)
-            if nxt is None:
-                nxt = self[head] = reduce(getitem, head, self)
-                rest = key[_SUB:]
-            elif size == _SLICE:
-                rest = _rest(key)
-            else:  # the last slice of u, shorter
-                rest = filter(None, _rest(key))
-            nxt = reduce(getitem, rest, nxt)
-        self[key] = nxt
+    def __missing__(self, a):
+        nxt = self[a] = self.advance(self, a)
         return nxt
 
 
@@ -381,12 +302,14 @@ class _Run:
 
     ``states[i]`` is the state after u[:ends[i]], from ``ends[0]`` = 0 to
     the last end, |u|.  A word of at most ``_SLICE`` symbols is read symbol
-    by symbol, so every prefix is an end.  A longer one ends a segment at
-    each slice end, or, when the run jumps (see :func:`_run_automaton`), at
-    the ends of its first slice, of the skipped middle and of its last
-    slice.  The states inside a segment are rebuilt on demand, once per
-    segment, from the state at its start: they are the same objects that a
-    symbol-by-symbol run records, so the backtrack reads the same frames.
+    by symbol, so every prefix is an end.  A longer one ends a segment
+    every ``_SLICE`` symbols (a slice), or, when the run jumps (see
+    :func:`_run_automaton`), at the ends of its first slice, of the skipped
+    middle and of its last slice; so a full run keeps |u| / ``_SLICE`` + 1
+    states, rounded up.  The states inside a segment are rebuilt on demand,
+    once per segment, from the state at its start: they are the same
+    objects that a symbol-by-symbol run records, so the backtrack reads the
+    same frames.
     """
 
     __slots__ = ("text", "ends", "states", "_inside")
@@ -489,10 +412,10 @@ def _automaton(phi: Morphism):
 
 def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
     """The run of the automaton over u = ``text``, from the state before
-    its first symbol, whose ``ahead`` holds every P_pref seed: one memoized
-    transition per slice of ``_SLICE`` symbols (composed from its
-    sub-slices, see :class:`_State`), or per symbol when u fits in one
-    slice.
+    its first symbol, whose ``ahead`` holds every P_pref seed.  A u of at
+    most ``_SLICE`` symbols keeps the state after each symbol; a longer one
+    is read in slices of ``_SLICE`` symbols, each by C-level symbol steps
+    (``reduce(getitem, ...)``), and keeps the state after each slice.
 
     The run jumps over the middle of u when the first slice leaves only
     seed 0 alive and phi has a delay D with |u| >= 2 ``_SLICE`` + D: the
@@ -503,15 +426,18 @@ def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
     size = len(text)
     if size <= _SLICE:
         return _Run(text, range(size + 1), list(accumulate(text, getitem, initial=state)))
-    first = state[text[:_SLICE]]
+    first = reduce(getitem, text[:_SLICE], state)
     if size >= 2 * _SLICE and not first.ahead and max(first.window) <= 1:
         delay = _window_delay(phi)
         j = size - _SLICE
         if delay is not None and j - delay >= _SLICE:
             middle = reduce(getitem, text[j - delay : j], first)
-            return _Run(text, (0, _SLICE, j, size), [state, first, middle, middle[text[j:]]])
-    ends = [*range(0, size, _SLICE), size]
-    return _Run(text, ends, list(accumulate(_slices(text), getitem, initial=state)))
+            last = reduce(getitem, text[j:], middle)
+            return _Run(text, (0, _SLICE, j, size), [state, first, middle, last])
+    states = [state, first]
+    for begin in range(_SLICE, size, _SLICE):
+        states.append(reduce(getitem, text[begin : begin + _SLICE], states[-1]))
+    return _Run(text, [*range(0, size, _SLICE), size], states)
 
 
 def _accepting(phi: Morphism, state: _State) -> tuple[int, int] | None:
@@ -553,13 +479,13 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
     start, so a predecessor that the seed reaches has the seed's value.
 
     The walk reads the states of the symbol-by-symbol run, rebuilt from the
-    slice ends by :meth:`_Run.state`, so slicing the run cannot change the
-    witness.  It counts positions back from the end of phi(u) until it can
-    pin them to the start cheaply: at a jump to the cut of u[:h], from
-    |phi(u[:h])|, or once k <= max|img| - 1.  No seed is passed before that:
-    the walk moves q only when q > |phi(u[:k - 1])| >= k - 1, which is at
-    least max|img| - 1 while k > max|img| - 1, and a seed, the length of a
-    proper image suffix, is at most max|img| - 1.
+    segment ends by :meth:`_Run.state`, so keeping only those ends cannot
+    change the witness.  It counts positions back from the end of phi(u)
+    until it can pin them to the start cheaply: at a jump to the cut of
+    u[:h], from |phi(u[:h])|, or once k <= max|img| - 1.  No seed is passed
+    before that: the walk moves q only when q > |phi(u[:k - 1])| >= k - 1,
+    which is at least max|img| - 1 while k > max|img| - 1, and a seed, the
+    length of a proper image suffix, is at most max|img| - 1.
     """
     text = run.text
     image_of = phi.image_map
@@ -679,17 +605,6 @@ def _if_on_every_word(phi: Morphism) -> bool:
     if flag is None:
         flag = flags[_FLAG] = interference_free_on_every_word(phi) is None
     return flag
-
-
-def is_strongly_interference_free(phi: Morphism) -> StrongInterferenceDecision:
-    """phi is strongly interference-free iff it is interference-free on every
-    single source symbol, that is, on every nonempty word.  The first
-    symbol on which it is not is the failing symbol, and the decision on
-    that symbol gives the witness."""
-    u = interference_free_on_every_word(phi)
-    if u is None:
-        return StrongInterferenceDecision(True)
-    return StrongInterferenceDecision(False, u.text, is_interference_free_on(phi, u).witness)
 
 
 def _definite_delay(phi: Morphism) -> int | None:

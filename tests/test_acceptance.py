@@ -23,9 +23,9 @@ from morphlab import (
     compute_mus,
     count_circular_factorizations,
     fibonacci_word,
+    interference_free_on_every_word,
     is_interference_free_on,
     is_recognizable_on,
-    is_strongly_interference_free,
     mus_to_net,
     naive_net_occurrences,
     structural_checks,
@@ -117,14 +117,16 @@ def test_criterion_3_parity_sweeps():
 
 
 def test_criterion_4_strong_classification():
+    # strongly IF means IF on every nonempty word; otherwise the answer is
+    # the first symbol on which phi is not IF
     ok = all(
-        bool(is_strongly_interference_free(Morphism.parse(spec)))
+        interference_free_on_every_word(Morphism.parse(spec)) is None
         for spec in ("a->aab;b->bba", "a->abb;b->baa", "a->aba;b->abb")
     )
-    fib = is_strongly_interference_free(FIBONACCI)
-    tm = is_strongly_interference_free(THUE_MORSE)
-    ok &= not fib and fib.failing_symbol == "b"
-    ok &= not tm and tm.failing_symbol == "a"
+    fib = interference_free_on_every_word(FIBONACCI)
+    tm = interference_free_on_every_word(THUE_MORSE)
+    ok &= fib is not None and fib.text == "b"
+    ok &= tm is not None and tm.text == "a"
     report(4, "strong interference-freeness classification", ok)
 
 

@@ -62,19 +62,6 @@ class TestCheckIf:
         assert "error" in err
 
 
-class TestCheckStrongIf:
-    def test_fibonacci_fails_on_b(self, capsys):
-        code, out, _ = run(capsys, "check-strong-if", "--morphism", "a->ab;b->a",
-                           "--format", "machine")
-        assert code == 1
-        assert parse_machine_line(out.strip())["symbol"] == "b"
-
-    def test_positive(self, capsys):
-        code, out, _ = run(capsys, "check-strong-if", "--morphism", "a->aab;b->bba")
-        assert code == 0
-        assert out.strip() == "STRONGLY-IF"
-
-
 class TestCheckRecognizable:
     def test_negative_with_rotation(self, capsys):
         code, out, _ = run(capsys, "check-recognizable", "--morphism",

@@ -15,7 +15,8 @@ import pytest
 import morphlab
 from morphlab import cli
 
-MODULES = sorted((Path(__file__).parent.parent / "src" / "morphlab").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+MODULES = sorted((ROOT / "src" / "morphlab").glob("*.py"))
 
 
 def absolute_imports(path):
@@ -75,7 +76,7 @@ def test_public_names_are_pinned():
         "extensions", "fibonacci_G", "fibonacci_alpha", "fibonacci_delta",
         "fibonacci_number", "fibonacci_word", "flip", "interference",
         "interference_free_on_every_word", "is_inner_image_factor", "is_interference_free_on", "is_recognizable_on",
-        "is_strongly_interference_free", "longest_proper_prefix", "morphisms",
+        "longest_proper_prefix", "morphisms",
         "mus_to_net", "naive_mus", "naive_net_occurrences", "occ_count",
         "occurrences", "repeats", "structural_checks", "thue_morse_word",
         "verify_fibonacci_mus", "verify_net_closed_forms", "verify_occ_lemmas",
@@ -83,14 +84,28 @@ def test_public_names_are_pinned():
     ]
 
 
+def subcommands():
+    (choices,) = [action.choices for action in cli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return set(choices)
+
+
 def test_cli_subcommands_are_pinned():
     # a subcommand returns to the command line only on purpose
-    (subcommands,) = [action.choices for action in cli._build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction)]
-    assert set(subcommands) == {
-        "check-if", "check-strong-if", "check-recognizable", "apply", "occ",
+    assert subcommands() == {
+        "check-if", "check-recognizable", "apply", "occ",
         "mus", "netocc", "gen", "verify",
     }
+
+
+def test_readme_shows_every_subcommand_and_no_other():
+    # each line of README's CLI block runs a subcommand that the parser has,
+    # and each subcommand has a line there, so a deleted one leaves no example
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("morphlab ") for line in lines), lines
+    assert {line.split()[1] for line in lines} == subcommands()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

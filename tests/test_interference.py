@@ -23,7 +23,6 @@ from morphlab import (
     interference_free_on_every_word,
     is_inner_image_factor,
     is_interference_free_on,
-    is_strongly_interference_free,
     thue_morse_word,
     word,
 )
@@ -35,14 +34,11 @@ from morphlab.errors import (
     NonInjectiveMorphismError,
 )
 from morphlab.interference import (
-    _ROW,
     _SLICE,
-    _SUB,
     INNER_IMAGE_FACTOR,
     INTERFERED_FACTORIZATION,
     InterferenceDecision,
     InterferenceWitness,
-    StrongInterferenceDecision,
     affix_donor,
 )
 
@@ -410,8 +406,8 @@ class TestBlockRunDifferential:
     non-injective phi is rejected with its witness."""
 
     @pytest.mark.parametrize("n", [
-        _SUB - 1, _SUB, _SUB + 1, _SLICE - 1, _SLICE, _SLICE + 1,
-        _SLICE + _SUB + 1, 2 * _SLICE + 1, 2 * _SLICE + 3, 3000])
+        15, 16, 17, _SLICE - 1, _SLICE, _SLICE + 1,
+        _SLICE + 17, 2 * _SLICE + 1, 2 * _SLICE + 3, 3000])
     def test_lengths_around_the_slice(self, n):
         kinds = set()
         pending = False  # a P_pref seed lies past the cut of u[:1]
@@ -457,7 +453,7 @@ def _edge_morphisms():
 
 
 @pytest.mark.parametrize("n", [
-    _SLICE - 1, _SLICE, _SLICE + 1, _SLICE + _SUB - 1, _SLICE + _SUB, _SLICE + _SUB + 1,
+    _SLICE - 1, _SLICE, _SLICE + 1, _SLICE + 15, _SLICE + 16, _SLICE + 17,
     2 * _SLICE + 1, 600, 2000])
 def test_slices_cut_every_symbol(n):
     # every decision field equals the DP over the positions of phi(u), on a
@@ -576,9 +572,8 @@ def test_backtrack_expands_few_slices(monkeypatch):
 
 
 def test_slices_compose_few_symbol_steps(monkeypatch):
-    # a slice miss composes memoized sub-slices once its first one was seen,
-    # so one F_25 decision steps through under 2,000 single symbols, not
-    # 128 per distinct slice (16,785)
+    # the F_25 decision jumps: it steps through its first slice, D symbols
+    # and its last slice, under 2,000 single symbols, not F_25's 75,025
     steps = []
     reduce = interference.reduce
 
@@ -592,57 +587,38 @@ def test_slices_compose_few_symbol_steps(monkeypatch):
     assert 0 < sum(steps) < 2000, sum(steps)
 
 
-def test_sub_slices_that_do_not_repeat_are_not_kept():
-    # on a random ternary word no first sub-slice repeats in a state, so
-    # each missed slice is composed from its symbols and keeps one sub-slice;
-    # the morphism has no delay, so the run reads every slice
-    phi = Morphism.parse("a->a;b->ab;c->bb")
-    text = "".join(random.Random(3).choices("abc", k=3000))
-    run = interference._run_automaton(phi, text, set())
-    seen, todo, kept = set(), [run.states[0]], 0
-    while todo:
-        state = todo.pop()
-        if id(state) not in seen:
-            seen.add(id(state))
-            kept += sum(1 < len(key) <= _SUB for key in state)
-            todo.extend(state.values())
-    slices = len(run.states) - 1
-    assert slices == -(-len(text) // _SLICE)
-    assert kept == slices, (kept, slices)
+def test_rows_hold_only_symbol_steps(monkeypatch):
+    # after a short, a jumped (NOT-IF, so it backtracks) and full runs, every
+    # key on every row the call reached is one symbol, and a full run keeps
+    # the state after each slice: ceil(|u| / _SLICE) + 1 states
+    runs = []
+    run_automaton = interference._run_automaton
 
+    def keeping(*args):
+        runs.append(run_automaton(*args))
+        return runs[-1]
 
-@pytest.mark.parametrize("n", [
-    _SLICE + 1, _ROW - 1, _ROW, _ROW + 1, _ROW + _SLICE, 2 * _ROW + _SLICE - 1, 3 * _ROW])
-def test_rows_cut_the_slices(n):
-    # rows of _ROW symbols are cut by slice objects, the last row past the
-    # end of u too; every symbol, newline and astral symbol included, lands
-    # in the slice of its position, and no slice is empty
-    text = "".join(random.Random(n).choices(("a", "b", *_EDGE), k=n))
-    assert interference._slices(text) == [
-        text[i : i + _SLICE] for i in range(0, n, _SLICE)]
-
-
-@pytest.mark.parametrize("last", [_SUB + 1, 2 * _SUB + 3, _SLICE - 1])
-def test_a_shorter_last_slice_is_composed_from_its_sub_slices(last):
-    # F_20's slices repeat, so its last slice finds its first sub-slice
-    # stored and is composed from its sub-slices, of which there are fewer
-    # than in a full slice: the decision is exact and no row gains the
-    # empty key
-    text = fibonacci_word(20).text[: 20 * _SLICE + last]
-    for _, named in sorted(NAMED_MORPHISMS.items()):
-        phi = named.morphism
-        if not phi.source.is_binary:
-            continue
-        u = Word(text, phi.source)
-        assert is_interference_free_on(phi, u) == reference_decision(phi, u), phi.format()
-        head = phi.apply_text(text[: phi.max_image_length])
-        run = interference._run_automaton(phi, text, p_pref_lengths(phi, head))
+    monkeypatch.setattr(interference, "_run_automaton", keeping)
+    no_delay = Morphism.parse("a->a;b->ab;c->bb")
+    rng = random.Random(29)
+    cases = [(FIBONACCI, fibonacci_word(9).text, "short"),
+             (FIBONACCI, fibonacci_word(21).text, "jumped")]
+    cases += [(no_delay, text, "full") for text in (
+        "b" + "c" * 2000, *("".join(rng.choices("abc", k=n)) for n in (_SLICE + 1, 3000)))]
+    for phi, text, kind in cases:
+        runs.clear()
+        is_interference_free_on(phi, Word(text, phi.source))
+        (run,) = runs
+        short = len(text) <= _SLICE
+        assert (short, _jumped(run)) == (kind == "short", kind == "jumped"), kind
+        if kind == "full":
+            assert len(run.states) == -(-len(text) // _SLICE) + 1, len(text)
         seen, todo = set(), [run.states[0]]
         while todo:
             state = todo.pop()
             if id(state) not in seen:
                 seen.add(id(state))
-                assert "" not in state, phi.format()
+                assert all(len(key) == 1 for key in state), (kind, len(text))
                 todo.extend(state.values())
 
 
@@ -758,16 +734,31 @@ class TestEveryWord:
             assert is_interference_free_on(phi, got).witness.kind == INNER_IMAGE_FACTOR
 
     def test_is_strong_interference_freeness(self, small_injective_morphisms):
-        # strongly IF by its definition: IF on each symbol, the first that
-        # fails and its decision's witness reported
+        # strongly IF by its definition: IF on each symbol; the answer is the
+        # first symbol that fails, and deciding it gives that symbol's witness
         for phi in small_injective_morphisms:
             decisions = [(c, is_interference_free_on(phi, Word(c, phi.source)))
                          for c in phi.source.symbols]
             failing = [(c, d.witness) for c, d in decisions if not d]
-            c, witness = failing[0] if failing else (None, None)
-            strong = is_strongly_interference_free(phi)
-            assert strong == StrongInterferenceDecision(not failing, c, witness), phi.format()
-            assert text_of(interference_free_on_every_word(phi)) == c, phi.format()
+            got = interference_free_on_every_word(phi)
+            if not failing:
+                assert got is None, phi.format()
+                continue
+            c, witness = failing[0]
+            assert got == Word(c, phi.source), phi.format()
+            assert is_interference_free_on(phi, got).witness == witness, phi.format()
+
+    def test_classification(self):
+        assert text_of(interference_free_on_every_word(FIB)) == "b"
+        assert text_of(interference_free_on_every_word(TM)) == "a"
+        for spec in ("a->aab;b->bba", "a->abb;b->baa", "a->aba;b->abb"):
+            assert interference_free_on_every_word(Morphism.parse(spec)) is None
+
+    def test_strong_implies_if_on_symbols(self):
+        phi = Morphism.parse("a->aab;b->bba")
+        assert interference_free_on_every_word(phi) is None
+        for c in "ab":
+            assert is_interference_free_on(phi, word(c))
 
     def test_applies_phi_to_no_word_and_keeps_no_run(self, monkeypatch):
         # so the first long decision of a morphism in a fresh process adds no
@@ -831,7 +822,7 @@ def test_short_words_neither_compute_nor_read_the_flag(monkeypatch):
     monkeypatch.setattr(interference, "_if_on_every_word", counting)
     for name in sorted(NAMED_MORPHISMS):
         phi = fresh(name)
-        for n in (1, 2, _SUB, _SLICE - 1, _SLICE):
+        for n in (1, 2, 16, _SLICE - 1, _SLICE):
             u = Word(_iterate_prefix(phi, n), phi.source)
             assert is_interference_free_on(phi, u) == reference_decision(phi, u), (name, n)
         assert not reads and interference._FLAG not in vars(phi), name
@@ -839,21 +830,6 @@ def test_short_words_neither_compute_nor_read_the_flag(monkeypatch):
         assert is_interference_free_on(phi, u) == reference_decision(phi, u), name
         assert reads == [phi.format()], name
         reads.clear()
-
-
-class TestStrong:
-    def test_classification(self):
-        decision = is_strongly_interference_free(FIB)
-        assert not decision
-        assert decision.failing_symbol == "b"
-        assert is_strongly_interference_free(TM).failing_symbol == "a"
-        for spec in ("a->aab;b->bba", "a->abb;b->baa", "a->aba;b->abb"):
-            assert is_strongly_interference_free(Morphism.parse(spec))
-
-    def test_strong_implies_if_on_symbols(self):
-        phi = Morphism.parse("a->aab;b->bba")
-        for c in "ab":
-            assert is_interference_free_on(phi, word(c))
 
 
 # -- the jump over the middle of u (the delay of a definite automaton) --------
@@ -1059,7 +1035,7 @@ class TestDelay:
         monkeypatch.setattr(interference, "_if_on_every_word", lambda phi: False)
         for name in sorted(NAMED_MORPHISMS):
             phi = fresh(name)
-            for n in (1, 2, _SUB, _SLICE - 1, _SLICE):
+            for n in (1, 2, 16, _SLICE - 1, _SLICE):
                 u = Word(_iterate_prefix(phi, n), phi.source)
                 assert is_interference_free_on(phi, u) == reference_decision(phi, u), (name, n)
             assert not reads and interference._DELAY not in vars(phi), name
@@ -1106,10 +1082,9 @@ def test_jumped_decisions_cost_the_same_on_f_20_and_f_30(monkeypatch):
 
 @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
 def test_full_runs_miss_once_a_slice(monkeypatch, n):
-    # a->a;b->ab;c->bb has no delay, so its runs read every slice: on
-    # random words, whose slices never repeat, that is one slice miss per
-    # slice, and a bounded number of symbol and sub-slice misses for the
-    # automaton's finitely many states
+    # a->a;b->ab;c->bb has no delay, so its runs read every slice: every
+    # memo entry is one symbol step, so on random words the misses are
+    # bounded by the automaton's finitely many states, however many slices
     phi = Morphism.parse("a->a;b->ab;c->bb")
     _, misses = _counting_steps(monkeypatch)
     for symbols in ("ab", "abc"):

@@ -17,8 +17,9 @@ from morphlab import (
     fibonacci_G,
     fibonacci_word,
     flip,
+    interference_free_on_every_word,
+    is_interference_free_on,
     is_recognizable_on,
-    is_strongly_interference_free,
     longest_proper_prefix,
     occ_count,
     occurrences,
@@ -187,7 +188,7 @@ class TestValidatedOnce:
             *Morphism.parse("a->ab;b->.").injectivity_witness,
             is_recognizable_on(THUE_MORSE, a).offending_rotation,
         ]
-        assert not is_strongly_interference_free(FIBONACCI)
+        assert not is_interference_free_on(FIBONACCI, interference_free_on_every_word(FIBONACCI))
         assert cli.main(["occ", "--pattern", "ab", "--text", "abcab"]) == 0
         assert checked_words == []
         # F_30 = phi^28(a) and tm_22 = mu^21(a)
