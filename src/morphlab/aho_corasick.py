@@ -12,15 +12,14 @@ first and the last ``max|img| - 1`` symbols of w: each of at most
 ``max|img| - 1`` prefixes (suffixes) of w is looked up in the morphism's
 cached :attr:`~Morphism.proper_image_suffixes`
 (:attr:`~Morphism.proper_image_prefixes`).  Building those two frozensets
-takes O(sum of |img|^2) time and memory once per morphism; building
-:attr:`~Morphism.image_ends`, which every decision does, takes the same
-order of time.  So :func:`p_pref_lengths` and :func:`p_suf_lengths` need
-only the two ends of w.  They serve the interference decision, which never
-builds w.
+takes O(sum of |img|^2) time and memory once per morphism.  So
+:func:`p_pref_lengths` and :func:`p_suf_lengths` need only the two ends of
+w.  They serve the interference decision, which never builds w.
 Above ``morphisms.AFFIX_BUDGET`` characters the sets are refused with
 ``BudgetExceededError`` before they are built.  A decision reads them
-before ``image_ends``, so one image of 10^5 symbols raises at once instead
-of asking for about 10 GB.
+before it builds its image-end table (``interference._image_ends``, kept
+once per morphism, which takes |Sigma| sum |img| steps), so one image of
+10^5 symbols raises at once instead of asking for about 10 GB.
 
 The module keeps its historical name because the benchmark in
 ``perfbench/`` reads it as ``morphlab.aho_corasick``; no automaton is built

@@ -35,23 +35,24 @@ c = |phi(u[:k])|, is
 The next state follows from the state and phi(a) alone, by the DP rule
 above: a new position takes the seed pending at its distance past the cut,
 if any, and ORs the seed sets where the images ending at it start
-(:attr:`Morphism.image_ends` lists them per symbol).  A seed's placement
-depends only on its distance past the cut, not on the cut itself, so a
-transition depends only on the state's key (tail, masks, pending seeds).
-Transitions are memoized per call, on each state's row keyed by the symbol,
-and every state, the initial one included, is interned by its key; no
-state is cached across calls (a morphism keeps a flag and an int, see
-"The jump" and "Every word" below).  So the run is one DFA over the source
-alphabet from its initial state.  Interning cannot merge two positions of
-one run at a state with pending seeds: a pending seed's distance is the
-seed minus the cut, and the cut strictly increases, as the images of an
-injective phi are nonempty.  Every entry of a row is one symbol step, and
-no entry is removed within a call, so the states inside any stretch of u
-that the run has read can be rebuilt from the state at its start by memo
-hits alone.  A word of at most ``_SLICE`` symbols keeps the state after
-each symbol, a longer one the state after each slice of ``_SLICE``
-symbols.  A word of 2 ``_SLICE`` + D symbols or more may skip its middle
-instead (see "The jump").
+(:func:`_image_ends` lists them per symbol, at their indices in the step's
+frame).  A seed's placement depends only on its distance past the cut, not
+on the cut itself, so a transition depends only on the state's key (tail,
+masks, pending seeds).  Transitions are memoized per call, on each state's
+row keyed by the symbol, and every state, the initial one included, is
+interned by its key; no state is cached across calls (a morphism keeps
+its image-end table, a flag and an int, see "The jump" and "Every word"
+below).  So the run is one DFA over the source alphabet from its initial
+state.  Interning cannot merge two positions of one run at a state with
+pending seeds: a pending seed's distance is the seed minus the cut, and
+the cut strictly increases, as the images of an injective phi are
+nonempty.  A row holds next states only, one per symbol step, and no entry
+is removed within a call, so the states inside any stretch of u that the
+run has read can be rebuilt from the state at its start by memo hits
+alone.  A run keeps the state after each slice of ``_SLICE`` symbols and
+after u, so a word of at most ``_SLICE`` symbols is one slice.  A word of
+2 ``_SLICE`` + D symbols or more may skip its middle instead (see "The
+jump").
 
 **The jump.**  Two facts let a decision on a long u read only its ends.
 
@@ -112,23 +113,26 @@ that is read in full, and a long decision on a classic word returns from
 the every-word flag or jumps.
 
 **The witness.**  The run keeps the states at its segment ends: after
-each slice, or after the first slice, the skipped middle and the last
-slice of a jump.  The state after any other prefix of u is rebuilt from
-the state at the start of its segment, by memo hits alone outside a
-skipped middle, and it is the object that the symbol-by-symbol run
-reaches (:class:`_Run`).  So the backtrack reads the same frames as a run
-that records every state, and neither keeping only the segment ends nor
-the jump can change the witness; a backtrack that enters the middle only
-costs its symbol steps.
-The masks of any position follow from the state of the step that covers
-it, and the backtrack applies the rule of the text-level DP over the
-positions of w, which ``tests/test_interference.py`` keeps as the
-reference of every decision field: from the accepting position it
-takes the first predecessor in start order (the longest image first, then
-source order) that the witness's seed reaches, until it stands on that
-seed.  A stretch of the path along canonical cuts that the seed reaches
-is copied as ``u[h:k]`` in one piece, and h is found by bisection over the
-segment ends, then inside one segment.  That is sound:
+each slice and after u, or after the first slice, the skipped middle and
+the last slice of a jump.  The state after any other prefix of u is
+rebuilt from the state at the start of its segment, by memo hits alone
+outside a skipped middle, and it is the object that the symbol-by-symbol
+run reaches (:class:`_Run`).  So the backtrack reads the same states as a
+run that records every state, and neither keeping only the segment ends
+nor the jump can change the witness; a backtrack that enters the middle
+only costs its symbol steps.
+The masks of any position follow from the step that covers it.  That
+step, from a state by a symbol a, writes only the positions past the cut,
+so its frame (the masks of the positions cut - max|img| + 1 .. cut +
+|phi(a)|) is the first |phi(a)| masks of the state's window followed by
+the next state's window.  The backtrack applies the rule of the
+text-level DP over the positions of w, which ``tests/test_interference.py``
+keeps as the reference of every decision field: from the accepting
+position it takes the first predecessor in start order (the longest image
+first, then source order) that the witness's seed reaches, until it stands
+on that seed.  A stretch of the path along canonical cuts that the seed
+reaches is copied as ``u[h:k]`` in one piece, and h is found by bisection
+over the segment ends, then inside one segment.  That is sound:
 let the seed s reach the cuts c_h, ..., c_k of u[:h], ..., u[:k].  At each
 c_i with h < i <= k, the occurrence of phi(u[i-1]) from c_(i-1) is a
 predecessor that s reaches.  Any predecessor that s reaches ends an image
@@ -145,9 +149,13 @@ The injective phi interferes on some nonempty word if and only if it
 interferes on one of its source symbols.  So phi is IF on every nonempty
 word exactly when it is strongly IF (IF on each single symbol), and the
 shortest, then lexicographically smallest word on which it interferes is
-its first such symbol in source order.  "If" holds as symbols are words.  Proof of "only if": let
-u = u_1 ... u_n with n >= 2, and L = |phi(u_1)| >= 1 (an injective phi
-is non-erasing).
+its first such symbol in source order.  "If" holds as symbols are words.
+The proof of "only if" shows more: phi interferes on u only if it
+interferes on some symbol of u.  The converse fails: the Fibonacci
+morphism interferes on b (phi(b) = a is a proper image prefix) but is IF
+on ba.  Proof: let u = u_1 ... u_n with n >= 2, and L = |phi(u_1)| >= 1
+(an injective phi is non-erasing); each case below ends at u_1 or at a
+symbol of u_2 ... u_n.
 
 * phi(u) strictly inside an image: then so is its prefix phi(u_1).
 * phi(u) = x . phi(y) . z with x . z nonempty.  Where does the cut L
@@ -198,6 +206,7 @@ from .words import Word
 _SLICE = 128  # symbols of u per segment of a run (see _run_automaton)
 _FLAG = "_if_on_every_word"  # the key of that flag in a morphism's __dict__
 _DELAY = "_window_delay"  # the key of the delay of phi's automaton, beside the flag
+_ENDS = "_image_ends"  # the key of its image-end table (see _image_ends), beside both
 # pairs of states times source symbols that computing the delay may visit
 _DELAY_BUDGET = 1 << 16
 
@@ -276,20 +285,18 @@ class _State(dict):
     last max|img| - 1 symbols of phi(u[:k]), ``window`` the seed masks of
     the max|img| positions c - max|img| + 1 .. c (0 before position 0), and
     ``ahead`` the P_pref seeds past c, as (seed - c, seed) pairs.  As a dict
-    the state maps a source symbol to the next state: a missing entry is
-    computed by ``advance`` and stored, so ``reduce(getitem, ...)`` and
-    ``accumulate(..., getitem)`` run without a Python-level step on every
-    memo hit.  ``advance`` keeps in ``frames``, per symbol, the masks it
-    computed, for the backtrack.
+    the state maps a source symbol to the next state, and holds nothing
+    else: a missing entry is computed by ``advance`` and stored, so
+    ``reduce(getitem, ...)`` and ``accumulate(..., getitem)`` run without a
+    Python-level step on every memo hit.
     """
 
-    __slots__ = ("tail", "window", "ahead", "frames", "advance")
+    __slots__ = ("tail", "window", "ahead", "advance")
 
     def __init__(self, tail, window, ahead, advance):
         self.tail = tail
         self.window = window
         self.ahead = ahead
-        self.frames = {}
         self.advance = advance
 
     def __missing__(self, a):
@@ -301,15 +308,14 @@ class _Run:
     """The states of one run of the automaton over u, kept at segment ends.
 
     ``states[i]`` is the state after u[:ends[i]], from ``ends[0]`` = 0 to
-    the last end, |u|.  A word of at most ``_SLICE`` symbols is read symbol
-    by symbol, so every prefix is an end.  A longer one ends a segment
-    every ``_SLICE`` symbols (a slice), or, when the run jumps (see
-    :func:`_run_automaton`), at the ends of its first slice, of the skipped
-    middle and of its last slice; so a full run keeps |u| / ``_SLICE`` + 1
-    states, rounded up.  The states inside a segment are rebuilt on demand,
-    once per segment, from the state at its start: they are the same
-    objects that a symbol-by-symbol run records, so the backtrack reads the
-    same frames.
+    the last end, |u|.  A segment ends every ``_SLICE`` symbols (a slice)
+    and at |u|, or, when the run jumps (see :func:`_run_automaton`), at the
+    ends of its first slice, of the skipped middle and of its last slice;
+    so a full run keeps |u| / ``_SLICE`` + 1 states, rounded up, and a word
+    of at most ``_SLICE`` symbols is one segment with 2 states.  The states
+    inside a segment are rebuilt on demand, once per segment, from the
+    state at its start: they are the same objects that a symbol-by-symbol
+    run records, so the backtrack reads the same states.
     """
 
     __slots__ = ("text", "ends", "states", "_inside")
@@ -362,18 +368,21 @@ def _automaton(phi: Morphism):
     states are interned by their keys and share one ``advance``, so runs
     from several start sets read and fill the same rows."""
     image_of = phi.image_map
-    ends = phi.image_ends
+    # a plain dict read once kept: a decision pays no call for the table
+    ends = phi.__dict__.get(_ENDS) or _kept(phi, _ENDS, _image_ends)
     base = phi.max_image_length - 1  # frame index of the cut
     keep = slice(-base, None) if base else slice(0, 0)  # the last base symbols
     states: dict[tuple, _State] = {}
 
     def advance(state, a):
-        """The state after reading ``a`` in ``state``; stores the frame.
+        """The state after reading ``a`` in ``state``.
 
-        The frame holds the masks of the positions cut - max|img| + 1 ..
-        cut + |phi(a)|.  A new position gets its own P_pref seed, if one
+        The step's frame holds the masks of the positions cut - max|img| + 1
+        .. cut + |phi(a)|.  A new position gets its own P_pref seed, if one
         lies that far ahead, and ORs the masks where the images ending at it
-        start (each final, as it lies further left).
+        start (each final, as it lies further left).  Only the new positions
+        are written, so :func:`_trace_back` derives the frame from the two
+        states (see "The witness" in the module docstring).
         """
         image = image_of[a]
         size = len(image)
@@ -392,7 +401,6 @@ def _automaton(phi: Morphism):
             reach = masks[start]
             if reach and (not before or tail.endswith(before)):
                 masks[end] |= reach
-        state.frames[a] = masks
         key = (tail + image)[keep], tuple(masks[size:]), ahead
         nxt = states.get(key)
         if nxt is None:
@@ -412,10 +420,10 @@ def _automaton(phi: Morphism):
 
 def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
     """The run of the automaton over u = ``text``, from the state before
-    its first symbol, whose ``ahead`` holds every P_pref seed.  A u of at
-    most ``_SLICE`` symbols keeps the state after each symbol; a longer one
-    is read in slices of ``_SLICE`` symbols, each by C-level symbol steps
-    (``reduce(getitem, ...)``), and keeps the state after each slice.
+    its first symbol, whose ``ahead`` holds every P_pref seed.  u is read
+    in slices of ``_SLICE`` symbols, each by C-level symbol steps
+    (``reduce(getitem, ...)``), and the run keeps the state after each
+    slice; a u of at most ``_SLICE`` symbols is one slice.
 
     The run jumps over the middle of u when the first slice leaves only
     seed 0 alive and phi has a delay D with |u| >= 2 ``_SLICE`` + D: the
@@ -424,8 +432,6 @@ def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
     docstring), and the last slice is read from it."""
     state = _automaton(phi)(p_pref)
     size = len(text)
-    if size <= _SLICE:
-        return _Run(text, range(size + 1), list(accumulate(text, getitem, initial=state)))
     first = reduce(getitem, text[:_SLICE], state)
     if size >= 2 * _SLICE and not first.ahead and max(first.window) <= 1:
         delay = _window_delay(phi)
@@ -433,7 +439,7 @@ def _run_automaton(phi: Morphism, text: str, p_pref: set[int]) -> _Run:
         if delay is not None and j - delay >= _SLICE:
             middle = reduce(getitem, text[j - delay : j], first)
             last = reduce(getitem, text[j:], middle)
-            return _Run(text, (0, _SLICE, j, size), [state, first, middle, last])
+            return _Run(text, [0, _SLICE, j, size], [state, first, middle, last])
     states = [state, first]
     for begin in range(_SLICE, size, _SLICE):
         states.append(reduce(getitem, text[begin : begin + _SLICE], states[-1]))
@@ -480,16 +486,18 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
 
     The walk reads the states of the symbol-by-symbol run, rebuilt from the
     segment ends by :meth:`_Run.state`, so keeping only those ends cannot
-    change the witness.  It counts positions back from the end of phi(u)
-    until it can pin them to the start cheaply: at a jump to the cut of
-    u[:h], from |phi(u[:h])|, or once k <= max|img| - 1.  No seed is passed
-    before that: the walk moves q only when q > |phi(u[:k - 1])| >= k - 1,
-    which is at least max|img| - 1 while k > max|img| - 1, and a seed, the
-    length of a proper image suffix, is at most max|img| - 1.
+    change the witness; the frame of a step is the first |phi(a)| masks of
+    the state's window followed by the next state's window.  It counts
+    positions back from the end of phi(u) until it can pin them to the
+    start cheaply: at a jump to the cut of u[:h], from |phi(u[:h])|, or
+    once k <= max|img| - 1.  No seed is passed before that: the walk moves
+    q only when q > |phi(u[:k - 1])| >= k - 1, which is at least max|img| -
+    1 while k > max|img| - 1, and a seed, the length of a proper image
+    suffix, is at most max|img| - 1.
     """
     text = run.text
     image_of = phi.image_map
-    ends = phi.image_ends
+    ends = phi.__dict__[_ENDS]  # kept by the run's automaton
     base = phi.max_image_length - 1
 
     def length(k):  # |phi(u[:k])|
@@ -505,7 +513,8 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
             cut, q, pinned = cut + shift, q + shift, True
             continue
         a = text[k - 1]
-        prev = cut - len(image_of[a])
+        size = len(image_of[a])
+        prev = cut - size
         if prev >= q:
             k, cut = k - 1, prev
             continue
@@ -518,7 +527,7 @@ def _trace_back(phi: Morphism, run: _Run, before_end: int, seed: int) -> str:
                 cut = q = length(h)
                 continue
         state = run.state(k - 1)
-        masks = state.frames[a]
+        masks = state.window[:size] + state[a].window
         i = q - prev + base  # frame index of q
         for end, start, before, c in ends[a]:
             if end == i and masks[start] >> seed & 1 and state.tail.endswith(before):
@@ -586,7 +595,7 @@ def interference_free_on_every_word(phi: Morphism) -> Word | None:
     phi.require_injective("interference-freeness")
     image_of = phi.image_map
     symbols = phi.source.symbols
-    # the affix sets (and their budget) before image_ends, as in a decision
+    # the affix sets (and their budget) before the image-end table, as in a decision
     seeds = [p_pref_lengths(phi, image_of[c]) for c in symbols]
     start = _automaton(phi)
     for c, p_pref in zip(symbols, seeds):
@@ -595,16 +604,45 @@ def interference_free_on_every_word(phi: Morphism) -> Word | None:
     return None
 
 
+def _kept(phi: Morphism, key: str, compute):
+    """``compute(phi)``, computed on the first call for each morphism and
+    kept in its ``__dict__`` under ``key``, as a ``cached_property`` keeps
+    its value: the image-end table, the every-word flag and the delay."""
+    kept = phi.__dict__
+    if key not in kept:
+        kept[key] = compute(phi)
+    return kept[key]
+
+
+def _image_ends(phi: Morphism) -> dict[str, tuple[tuple[int, int, str, str], ...]]:
+    """For each source symbol a, the image occurrences that end inside
+    phi(a) in the frame of a step that reads a: the last max|img| - 1
+    symbols before the cut (frame indices 0 .. max|img| - 2, the cut at
+    index max|img| - 1), followed by phi(a).
+
+    A tuple (end, start, before, c) says that the image of c occupies frame
+    positions start..end (0-based, end exclusive) when the state's tail
+    ends with ``before`` (empty when the image lies inside phi(a)).  The
+    tuples are sorted by end, then by start, then in source order."""
+    base = phi.max_image_length - 1
+    by_length = sorted(phi.images, key=lambda item: -len(item[1]))
+    ends = {}
+    for a, image in phi.images:
+        found = []
+        for e in range(1, len(image) + 1):
+            for c, img in by_length:
+                split = max(len(img) - e, 0)
+                if image[e - len(img) + split : e] == img[split:]:
+                    found.append((base + e, base + e - len(img), img[:split], c))
+        ends[a] = tuple(found)
+    return ends
+
+
 def _if_on_every_word(phi: Morphism) -> bool:
     """Whether phi is interference-free on every nonempty word, decided on
-    the first call for each morphism and kept in its ``__dict__``, as a
-    ``cached_property`` keeps its value; the automaton of that decision is
-    dropped."""
-    flags = phi.__dict__
-    flag = flags.get(_FLAG)
-    if flag is None:
-        flag = flags[_FLAG] = interference_free_on_every_word(phi) is None
-    return flag
+    the first call for each morphism and kept in its ``__dict__``; the
+    automaton of that decision is dropped."""
+    return _kept(phi, _FLAG, lambda phi: interference_free_on_every_word(phi) is None)
 
 
 def _definite_delay(phi: Morphism) -> int | None:
@@ -631,7 +669,7 @@ def _definite_delay(phi: Morphism) -> int | None:
             nxt = state[a]
             i = index.get(id(nxt))
             if i is None:
-                if len(reached) == limit:
+                if len(reached) >= limit:
                     return None
                 i = index[id(nxt)] = len(reached)
                 reached.append(nxt)
@@ -662,7 +700,4 @@ def _window_delay(phi: Morphism) -> int | None:
     """The delay of phi's window automaton (:func:`_definite_delay`),
     computed on the first call for each morphism and kept in its
     ``__dict__`` beside the every-word flag; the automaton is dropped."""
-    flags = phi.__dict__
-    if _DELAY not in flags:
-        flags[_DELAY] = _definite_delay(phi)
-    return flags[_DELAY]
+    return _kept(phi, _DELAY, _definite_delay)

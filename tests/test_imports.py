@@ -1,12 +1,14 @@
 """The package is pure Python with no dependencies (``dependencies = []`` in
 pyproject.toml): every module of src/morphlab imports only the standard
 library and its own package.  Its public surface has a pinned set of
-names, CLI subcommands and defaulted parameters, and no module reads the
-environment."""
+names, CLI subcommands and defaulted parameters, no module reads the
+environment, and README's examples run as shown."""
 
 import argparse
 import ast
+import contextlib
 import inspect
+import io
 import sys
 from pathlib import Path
 
@@ -106,6 +108,21 @@ def test_readme_shows_every_subcommand_and_no_other():
     lines = block.splitlines()
     assert lines and all(line.startswith("morphlab ") for line in lines), lines
     assert {line.split()[1] for line in lines} == subcommands()
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    # the block runs as shown, and each print line ends with a comment that
+    # gives what it prints, one line per call, with " / " between the lines
+    # of a loop
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## Library quick start\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    expected = [printed.strip() for line in block.splitlines() if "print(" in line
+                for printed in line.rsplit("# ", 1)[1].split(" / ")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

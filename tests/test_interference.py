@@ -483,7 +483,9 @@ def test_slices_cut_every_symbol(n):
 def _same_state_cases():
     """The named morphisms on 5,000-symbol prefixes of their iterates, the
     Fibonacci morphism on F_25, then seeded random injective 2-3-symbol
-    morphisms on random and iterated words of 100..3,000 symbols."""
+    morphisms on random and iterated words of 100..3,000 symbols, then
+    words of 1, 2, ``_SLICE`` - 1 and ``_SLICE`` symbols: one segment each,
+    whose inner states are rebuilt as in every other run."""
     cases = [(named.morphism, _iterate_prefix(named.morphism, 5000))
              for _, named in sorted(NAMED_MORPHISMS.items())]
     # most slice ends resynchronize after a wrong composition; one of F_25's does not
@@ -502,6 +504,10 @@ def _same_state_cases():
         )
         cases.append((phi, "".join(rng.choices(source, k=n))))
         cases.append((phi, _iterate_prefix(iterate, n)))
+    no_delay = Morphism.parse("a->a;b->ab;c->bb")
+    for n in (1, 2, _SLICE - 1, _SLICE):
+        cases.append((FIBONACCI, fibonacci_word(25).text[:n]))
+        cases.append((no_delay, "".join(rng.choices("abc", k=n))))
     return cases
 
 
@@ -590,7 +596,8 @@ def test_slices_compose_few_symbol_steps(monkeypatch):
 def test_rows_hold_only_symbol_steps(monkeypatch):
     # after a short, a jumped (NOT-IF, so it backtracks) and full runs, every
     # key on every row the call reached is one symbol, and a full run keeps
-    # the state after each slice: ceil(|u| / _SLICE) + 1 states
+    # the state after each slice: ceil(|u| / _SLICE) + 1 states, so 2 for a
+    # short run
     runs = []
     run_automaton = interference._run_automaton
 
@@ -613,6 +620,8 @@ def test_rows_hold_only_symbol_steps(monkeypatch):
         assert (short, _jumped(run)) == (kind == "short", kind == "jumped"), kind
         if kind == "full":
             assert len(run.states) == -(-len(text) // _SLICE) + 1, len(text)
+        if kind == "short":
+            assert run.ends == [0, len(text)] and len(run.states) == 2, run.ends
         seen, todo = set(), [run.states[0]]
         while todo:
             state = todo.pop()
@@ -773,7 +782,7 @@ class TestEveryWord:
             interference._if_on_every_word(fresh(name))
 
     def test_over_the_affix_budget(self, monkeypatch):
-        # the affix sets are read, and refused, before image_ends is built;
+        # the affix sets are read, and refused, before the image-end table is built;
         # a long decision raises as it did before it read the flag
         monkeypatch.setattr(morphisms, "AFFIX_BUDGET", 3)
         phi = Morphism.parse("a->abcd;b->b")
@@ -781,11 +790,44 @@ class TestEveryWord:
             interference_free_on_every_word(phi)
         with pytest.raises(BudgetExceededError, match="6 characters"):
             is_interference_free_on(phi, Word("ab" * _SLICE, phi.source))
-        assert "image_ends" not in vars(phi)
+        assert interference._ENDS not in vars(phi)
 
     def test_rejects_non_injective(self):
         with pytest.raises(NonInjectiveMorphismError):
             interference_free_on_every_word(Morphism.parse("a->a;b->ab;c->b"))
+
+    def test_a_word_of_if_symbols_is_if_on_the_binary_sweep(
+            self, small_injective_morphisms, small_words):
+        # phi interferes on u only if it interferes on some symbol of u (the
+        # proof in the module docstring ends at a symbol of u); the converse
+        # fails: the Fibonacci morphism interferes on b but is IF on ba
+        checked = 0
+        for phi in small_injective_morphisms:
+            if_symbols = _if_symbols(phi)
+            for u in small_words:
+                if set(u.text) <= if_symbols:
+                    assert brute_force_is_interference_free(phi, u), (phi.format(), u.text)
+                    assert is_interference_free_on(phi, u), (phi.format(), u.text)
+                    checked += 1
+        assert checked > 10_000, checked
+        assert not is_interference_free_on(FIB, word("b"))
+        assert is_interference_free_on(FIB, word("ba"))
+        assert brute_force_is_interference_free(FIB, word("ba"))
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(ternary_morphism(), st.data())
+    def test_a_word_of_if_symbols_is_if_on_ternary_morphisms(self, phi, data):
+        if_symbols = "".join(sorted(_if_symbols(phi)))
+        assume(if_symbols)
+        u = Word(data.draw(st.text(alphabet=if_symbols, min_size=1, max_size=8)), phi.source)
+        assert brute_force_is_interference_free(phi, u), (phi.format(), u.text)
+        assert is_interference_free_on(phi, u), (phi.format(), u.text)
+
+
+def _if_symbols(phi):
+    """The source symbols on which the brute-force oracle finds phi IF."""
+    return {c for c in phi.source.symbols
+            if brute_force_is_interference_free(phi, Word(c, phi.source))}
 
 
 def test_if_on_every_word_decides_long_words_without_a_run(monkeypatch):
@@ -1022,6 +1064,13 @@ class TestDelay:
             u = fibonacci_word(i)
             assert is_interference_free_on(phi, u) == reference_decision(phi, u), i
         assert not any(map(_jumped, runs)) and len(runs) == 2
+
+    def test_a_budget_below_one_state_per_symbol_still_bounds_the_search(self, monkeypatch):
+        # 2 _DELAY_BUDGET // |Sigma| is 0 for three symbols: no state fits,
+        # so the search gives up at the first new state (variant-thue-morse
+        # has delay 2 within the default budget)
+        monkeypatch.setattr(interference, "_DELAY_BUDGET", 1)
+        assert interference._window_delay(fresh("variant-thue-morse")) is None
 
     def test_short_words_neither_compute_nor_read_it(self, monkeypatch):
         reads = []
