@@ -211,10 +211,12 @@ def is_recognizable_on(phi: Morphism, u: Word) -> RecognizabilityDecision:
     cyclic parse has exactly one image covering that symbol, so every
     rotation's count equals the number of cyclic parses of w.  On failure
     the offending rotation is therefore phi(u) itself, reported with its
-    count."""
+    count.  Raises BudgetExceededError, before w is built, when it would
+    hold more than ``morphisms.LENGTH_BUDGET`` symbols."""
     phi.require_injective("recognizability")
     if len(u) == 0:
         raise ValueError("recognizability is defined for nonempty words")
+    phi._require_iterable(u, 1)
     text = phi.apply_text(u.text)
     count = count_circular_factorizations(phi, text)
     if count != 1:

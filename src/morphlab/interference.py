@@ -41,12 +41,12 @@ on the cut itself, so a transition depends only on the state's key (tail,
 masks, pending seeds).  Transitions are memoized per call, on each state's
 row keyed by the symbol, and every state, the initial one included, is
 interned by its key; no state is cached across calls (a morphism keeps
-its image-end table, a flag and an int, see "The jump" and "Every word"
-below).  So the run is one DFA over the source alphabet from its initial
-state.  Interning cannot merge two positions of one run at a state with
-pending seeds: a pending seed's distance is the seed minus the cut, and
-the cut strictly increases, as the images of an injective phi are
-nonempty.  A row holds next states only, one per symbol step, and no entry
+its image-end table, the string of its interfering symbols and an int, see
+"Every word" and "The jump" below).  So the run is one DFA over the source
+alphabet from its initial state.  Interning cannot merge two positions of
+one run at a state with pending seeds: a pending seed's distance is the
+seed minus the cut, and the cut strictly increases, as the images of an
+injective phi are nonempty.  A row holds next states only, one per symbol step, and no entry
 is removed within a call, so the states inside any stretch of u that the
 run has read can be rebuilt from the state at its start by memo hits
 alone.  A run keeps the state after each slice of ``_SLICE`` symbols and
@@ -72,9 +72,9 @@ jump").
   Automata*, 2009).  :func:`_definite_delay` computes D, or None when
   there is none or the states pass ``_DELAY_BUDGET``, on the first
   decision of a morphism that could jump, and keeps the int in its
-  ``__dict__`` beside the every-word flag; a u of fewer than 2 ``_SLICE``
-  symbols neither computes nor reads it.  D is 1 for five of the named
-  morphisms and 2 for ``variant-thue-morse``.
+  ``__dict__`` beside the interfering symbols; a u of fewer than 2
+  ``_SLICE`` symbols neither computes nor reads it.  D is 1 for five of
+  the named morphisms and 2 for ``variant-thue-morse``.
 
 So when the state after the first slice, u[:``_SLICE``], has no pending
 seed and no mask bit but seed 0's, and phi has a delay D with |u| >= 2
@@ -110,7 +110,7 @@ reads all of u costs |u| symbol lookups, each one C-level dict lookup in a
 costs 2 ``_SLICE`` + D lookups whatever |u|.  Rows hold no longer keys: a
 memoized slice would save lookups only on a long word whose slices repeat
 that is read in full, and a long decision on a classic word returns from
-the every-word flag or jumps.
+the interfering symbols or jumps.
 
 **The witness.**  The run keeps the states at its segment ends: after
 each slice and after u, or after the first slice, the skipped middle and
@@ -180,13 +180,15 @@ stop at the first symbols, so no such search is made.
 The window automaton decides a symbol c in one step from the state
 before it, with P_pref from phi(c) and P_suf from the state's tail:
 |Sigma| steps for the whole morphism, with no run kept and phi applied
-to no word (:func:`interference_free_on_every_word`).  Its answer for a
-morphism is kept across calls, as a flag in the morphism's ``__dict__``
-beside the delay: a decision on a u of more than ``_SLICE`` symbols reads it
-(computing it once per morphism) and, when phi is IF on every word,
-returns IF without a run.  A shorter u costs at most ``_SLICE`` symbol
-steps, so it neither computes nor reads the flag.  A NOT-IF decision
-still runs on u, since its witness is one of u's own factorizations.
+to no word.  The symbols on which phi interferes, in source order, are
+kept across calls as one string in the morphism's ``__dict__``, beside the
+delay (:func:`_symbols_interfered_on`).  Every decision reads that table,
+computing it on the morphism's first decision: when none of its symbols
+occurs in u (one ``str.__contains__`` per symbol), phi is IF on u, with no
+run and phi applied to no symbol.  An empty table is IF on every word,
+and :func:`interference_free_on_every_word` returns the table's first
+symbol.  Any other u is read by a run, IF or not, since a NOT-IF witness
+is one of u's own factorizations.
 """
 
 from __future__ import annotations
@@ -204,8 +206,8 @@ from .morphisms import Morphism
 from .words import Word
 
 _SLICE = 128  # symbols of u per segment of a run (see _run_automaton)
-_FLAG = "_if_on_every_word"  # the key of that flag in a morphism's __dict__
-_DELAY = "_window_delay"  # the key of the delay of phi's automaton, beside the flag
+_INTERFERING = "_interfering_symbols"  # the key of phi's interfering symbols in its __dict__
+_DELAY = "_window_delay"  # the key of the delay of phi's automaton, beside them
 _ENDS = "_image_ends"  # the key of its image-end table (see _image_ends), beside both
 # pairs of states times source symbols that computing the delay may visit
 _DELAY_BUDGET = 1 << 16
@@ -542,11 +544,11 @@ def is_interference_free_on(phi: Morphism, u: Word) -> InterferenceDecision:
     nonempty word u.  A symbol of u with no image raises
     ``AlphabetMismatchError``, which names the first such symbol of u.
 
-    A u of more than ``_SLICE`` symbols is IF at once when phi is IF on
-    every word, a flag that the morphism's first such decision computes;
-    a shorter u is read in at most ``_SLICE`` symbol steps, so it neither
-    computes nor reads the flag.  A longer u may skip its middle, by the
-    delay of phi (see :func:`_run_automaton`)."""
+    u is IF at once, with no run and phi applied to no symbol, when none
+    of the symbols on which phi interferes occurs in it: a table of them
+    that the morphism's first decision computes (see "Every word" in the
+    module docstring).  Otherwise a run reads u, and a long u may skip its
+    middle, by the delay of phi (see :func:`_run_automaton`)."""
     phi.require_injective("interference-freeness")
     if len(u) == 0:
         raise ValueError("interference-freeness is defined for nonempty words")
@@ -557,9 +559,10 @@ def is_interference_free_on(phi: Morphism, u: Word) -> InterferenceDecision:
         first = min(((i, c) for c in missing if (i := text.find(c)) >= 0), default=None)
         if first:
             raise AlphabetMismatchError(f"symbol {first[1]!r} has no image")
-    size = phi.max_image_length
-    if len(text) > _SLICE and _if_on_every_word(phi):
+    # phi interferes on u only if it interferes on a symbol of u
+    if not any(map(text.__contains__, _interfering_symbols(phi))):
         return InterferenceDecision(True)
+    size = phi.max_image_length
     head = phi.apply_text(text[:size])
     run = _run_automaton(phi, text, p_pref_lengths(phi, head))
     state = run.states[-1]
@@ -588,26 +591,19 @@ def interference_free_on_every_word(phi: Morphism) -> Word | None:
     smallest (in source order) word on which it is not.
 
     That word is a single symbol: phi interferes on some word only if it
-    interferes on one of its symbols (see the module docstring).  Each
-    symbol c is one step of the window automaton, from the state before
-    it: P_pref and P_suf are read from phi(c) and from the state's tail, so
-    phi is not applied to a word and no run is kept."""
+    interferes on one of its symbols (see the module docstring).  It is the
+    first symbol of the table that decisions read, the symbols on which phi
+    interferes (:func:`_symbols_interfered_on`), computed once per morphism
+    by one automaton step per source symbol."""
     phi.require_injective("interference-freeness")
-    image_of = phi.image_map
-    symbols = phi.source.symbols
-    # the affix sets (and their budget) before the image-end table, as in a decision
-    seeds = [p_pref_lengths(phi, image_of[c]) for c in symbols]
-    start = _automaton(phi)
-    for c, p_pref in zip(symbols, seeds):
-        if _accepting(phi, start(p_pref)[c]) or is_inner_image_factor(phi, image_of[c]):
-            return Word._trusted(c, phi.source)
-    return None
+    interfering = _interfering_symbols(phi)
+    return Word._trusted(interfering[0], phi.source) if interfering else None
 
 
 def _kept(phi: Morphism, key: str, compute):
     """``compute(phi)``, computed on the first call for each morphism and
     kept in its ``__dict__`` under ``key``, as a ``cached_property`` keeps
-    its value: the image-end table, the every-word flag and the delay."""
+    its value: the image-end table, the interfering symbols and the delay."""
     kept = phi.__dict__
     if key not in kept:
         kept[key] = compute(phi)
@@ -638,11 +634,26 @@ def _image_ends(phi: Morphism) -> dict[str, tuple[tuple[int, int, str, str], ...
     return ends
 
 
-def _if_on_every_word(phi: Morphism) -> bool:
-    """Whether phi is interference-free on every nonempty word, decided on
-    the first call for each morphism and kept in its ``__dict__``; the
-    automaton of that decision is dropped."""
-    return _kept(phi, _FLAG, lambda phi: interference_free_on_every_word(phi) is None)
+def _interfering_symbols(phi: Morphism) -> str:
+    """The symbols of :func:`_symbols_interfered_on`, computed on the first
+    call for each morphism and kept in its ``__dict__``; the automaton is
+    dropped."""
+    return _kept(phi, _INTERFERING, _symbols_interfered_on)
+
+
+def _symbols_interfered_on(phi: Morphism) -> str:
+    """The source symbols on which phi interferes, in source order, as one
+    string.  Each symbol c is one step of the window automaton, from the
+    state before it: P_pref and P_suf are read from phi(c) and from the
+    state's tail, so phi is applied to no word and no run is kept."""
+    image_of = phi.image_map
+    symbols = phi.source.symbols
+    # the affix sets (and their budget) before the image-end table, as in a decision
+    seeds = [p_pref_lengths(phi, image_of[c]) for c in symbols]
+    start = _automaton(phi)
+    return "".join(
+        c for c, p_pref in zip(symbols, seeds)
+        if _accepting(phi, start(p_pref)[c]) or is_inner_image_factor(phi, image_of[c]))
 
 
 def _definite_delay(phi: Morphism) -> int | None:
@@ -699,5 +710,5 @@ def _definite_delay(phi: Morphism) -> int | None:
 def _window_delay(phi: Morphism) -> int | None:
     """The delay of phi's window automaton (:func:`_definite_delay`),
     computed on the first call for each morphism and kept in its
-    ``__dict__`` beside the every-word flag; the automaton is dropped."""
+    ``__dict__`` beside the interfering symbols; the automaton is dropped."""
     return _kept(phi, _DELAY, _definite_delay)

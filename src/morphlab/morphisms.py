@@ -28,8 +28,9 @@ _EPSILON = "."
 #: sum(|img| (|img| - 1) / 2) over the distinct images: about 10 MB of text.
 AFFIX_BUDGET = 10**7
 
-#: Most symbols that ``Morphism.iterate`` may build, and most bytes that the
-#: CLI reads from an ``@file`` argument: 2^24, eight times tm_22.
+#: Most symbols that ``Morphism.apply`` and ``Morphism.iterate`` may build,
+#: and most bytes that the CLI reads from an ``@file`` argument: 2^24, eight
+#: times tm_22.
 LENGTH_BUDGET = 2**24
 
 
@@ -144,12 +145,18 @@ class Morphism:
     # -- application ----------------------------------------------------------
 
     def apply_text(self, text: str) -> str:
+        """phi(text), with no length budget: the interference decision
+        applies it to at most max|img| symbols, and :meth:`apply` checks
+        the budget before it calls it on a whole word."""
         try:
             return "".join(map(self.image_map.__getitem__, text))
         except KeyError as exc:
             raise AlphabetMismatchError(f"symbol {exc.args[0]!r} has no image") from None
 
     def apply(self, u: Word) -> Word:
+        """phi(u).  Raises BudgetExceededError, before anything is built,
+        when it would hold more than ``LENGTH_BUDGET`` symbols."""
+        self._require_iterable(u, 1)
         return Word._trusted(self.apply_text(u.text), self.target)
 
     @cached_property

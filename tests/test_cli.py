@@ -1,5 +1,6 @@
 import pytest
 
+from morphlab import morphisms
 from morphlab.cli import machine_line, main
 
 
@@ -76,6 +77,14 @@ class TestCheckRecognizable:
                            "a->ab;b->a", "--word", "abaab")
         assert code == 0
         assert out.strip() == "RECOGNIZABLE"
+
+    def test_refuses_an_image_above_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(morphisms, "LENGTH_BUDGET", 64)
+        code, out, err = run(capsys, "check-recognizable", "--morphism", "a->ab;b->a",
+                             "--word", "a" * 32 + "b")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: phi^1(u) would hold more than 64 symbols")
 
     def test_erasing_one_symbol_morphism_is_rejected(self, capsys):
         # phi(a) = phi(aa) = empty, so the morphism is not injective

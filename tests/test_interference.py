@@ -769,6 +769,31 @@ class TestEveryWord:
         for c in "ab":
             assert is_interference_free_on(phi, word(c))
 
+    def test_interfering_symbols_on_the_binary_sweep(self, small_injective_morphisms):
+        # the kept table is the per-symbol brute-force classification
+        kinds = set()
+        for phi in small_injective_morphisms:
+            table = interference._interfering_symbols(phi)
+            assert table == _interfering_by_brute_force(phi), phi.format()
+            kinds.add(table)
+        assert kinds == {"", "a", "b", "ab"}, kinds
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(ternary_morphism())
+    def test_interfering_symbols_on_ternary_morphisms(self, phi):
+        table = interference._interfering_symbols(phi)
+        assert table == _interfering_by_brute_force(phi), phi.format()
+
+    def test_interfering_symbols_of_the_named_morphisms(self):
+        pinned = {"fibonacci": "b", "thue-morse": "ab", "variant-thue-morse": "c",
+                  "mephisto-waltz": "", "thue-morse-morse": "", "last-nonzero-digit": ""}
+        assert pinned.keys() == NAMED_MORPHISMS.keys()
+        for name, symbols in pinned.items():
+            phi = fresh(name)
+            assert interference._interfering_symbols(phi) == symbols, name
+            assert _interfering_by_brute_force(phi) == symbols, name
+            assert vars(phi)[interference._INTERFERING] == symbols, name
+
     def test_applies_phi_to_no_word_and_keeps_no_run(self, monkeypatch):
         # so the first long decision of a morphism in a fresh process adds no
         # phi application and no run to the ones its own tests count
@@ -779,11 +804,11 @@ class TestEveryWord:
         monkeypatch.setattr(interference, "_run_automaton", refused)
         for name in sorted(NAMED_MORPHISMS):
             interference_free_on_every_word(fresh(name))
-            interference._if_on_every_word(fresh(name))
+            interference._interfering_symbols(fresh(name))
 
     def test_over_the_affix_budget(self, monkeypatch):
         # the affix sets are read, and refused, before the image-end table is built;
-        # a long decision raises as it did before it read the flag
+        # a decision raises as it did before it read the interfering symbols
         monkeypatch.setattr(morphisms, "AFFIX_BUDGET", 3)
         phi = Morphism.parse("a->abcd;b->b")
         with pytest.raises(BudgetExceededError, match="6 characters"):
@@ -830,6 +855,13 @@ def _if_symbols(phi):
             if brute_force_is_interference_free(phi, Word(c, phi.source))}
 
 
+def _interfering_by_brute_force(phi):
+    """The source symbols on which the brute-force oracle finds phi not IF,
+    in source order."""
+    if_symbols = _if_symbols(phi)
+    return "".join(c for c in phi.source.symbols if c not in if_symbols)
+
+
 def test_if_on_every_word_decides_long_words_without_a_run(monkeypatch):
     runs = []
     run_automaton = interference._run_automaton
@@ -843,35 +875,78 @@ def test_if_on_every_word_decides_long_words_without_a_run(monkeypatch):
     u = fibonacci_word(26)
     assert is_interference_free_on(phi, u) == InterferenceDecision(True)
     assert runs == []
-    # the flag is kept on the morphism, not on the word or the module
+    # the interfering symbols are kept on the morphism, not on the word or the module
     assert is_interference_free_on(phi, fibonacci_word(26)) == InterferenceDecision(True)
     assert runs == []
-    assert vars(phi)[interference._FLAG] is True
-    # one slice or less is read without the flag, and by a run
+    assert vars(phi)[interference._INTERFERING] == ""
+    # a word of one slice or less is decided without a run too
     v = Word(u.text[:_SLICE], u.alphabet)
     assert is_interference_free_on(phi, v) == reference_decision(phi, v)
-    assert len(runs) == 1
+    assert runs == []
 
 
-def test_short_words_neither_compute_nor_read_the_flag(monkeypatch):
-    reads = []
-    flag = interference._if_on_every_word
+def test_words_avoiding_the_interfering_symbols_take_no_run(monkeypatch):
+    # fibonacci interferes on b only, variant-thue-morse on c only: a word
+    # without them is IF at any length, with no run and phi applied to no
+    # symbol, and the decision equals the reference DP
+    cases = [(fresh("fibonacci"), lambda n: "a" * n, "b"),
+             (fresh("variant-thue-morse"), lambda n: ("abbab" * n)[:n], "c")]
+    calls = []
+
+    def counting(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        interference, "_run_automaton", counting("run", interference._run_automaton))
+    monkeypatch.setattr(Morphism, "apply_text", counting("apply", Morphism.apply_text))
+    for phi, text, interfering in cases:
+        for n in (1, 2, _SLICE, _SLICE + 1, 10**4):
+            u = Word(text(n), phi.source)
+            expected = reference_decision(phi, u)
+            calls.clear()
+            got = is_interference_free_on(phi, u)
+            assert calls == [], (phi.format(), n, calls)
+            assert got == expected == InterferenceDecision(True), (phi.format(), n)
+        # a word with an interfering symbol is read by a run
+        u = Word(text(_SLICE) + interfering, phi.source)
+        calls.clear()
+        assert is_interference_free_on(phi, u) == reference_decision(phi, u), phi.format()
+        assert "run" in calls, phi.format()
+
+
+def test_the_interfering_symbols_are_computed_once_per_morphism(monkeypatch):
+    computed = []
+    compute = interference._symbols_interfered_on
 
     def counting(phi):
-        reads.append(phi.format())
-        return flag(phi)
+        computed.append(phi.format())
+        return compute(phi)
 
-    monkeypatch.setattr(interference, "_if_on_every_word", counting)
+    monkeypatch.setattr(interference, "_symbols_interfered_on", counting)
     for name in sorted(NAMED_MORPHISMS):
+        # decisions first, short and long, then the every-word answer; and
+        # the other way round on another object of the same morphism
         phi = fresh(name)
-        for n in (1, 2, 16, _SLICE - 1, _SLICE):
+        for n in (1, 2, 16, _SLICE, _SLICE + 1, 2000):
             u = Word(_iterate_prefix(phi, n), phi.source)
             assert is_interference_free_on(phi, u) == reference_decision(phi, u), (name, n)
-        assert not reads and interference._FLAG not in vars(phi), name
-        u = Word(_iterate_prefix(phi, _SLICE + 1), phi.source)
-        assert is_interference_free_on(phi, u) == reference_decision(phi, u), name
-        assert reads == [phi.format()], name
-        reads.clear()
+        answer = interference_free_on_every_word(phi)
+        assert computed == [phi.format()], name
+        phi = fresh(name)
+        assert interference_free_on_every_word(phi) == answer
+        for n in (1, _SLICE + 1):
+            is_interference_free_on(phi, Word(_iterate_prefix(phi, n), phi.source))
+        assert computed == [phi.format()] * 2, name
+        computed.clear()
+
+
+def _every_symbol(phi):
+    """Every source symbol of phi, as a stand-in for its interfering
+    symbols that makes every decision run."""
+    return "".join(phi.source.symbols)
 
 
 # -- the jump over the middle of u (the delay of a definite automaton) --------
@@ -916,8 +991,10 @@ def _delay_by_pair_sets(phi):
 
 class _Decisions:
     """Decisions with the jump and, with the delay forced to None, in full.
-    Every morphism is decided by a run: the every-word flag is forced off,
-    so the three morphisms that are IF on every word reach the jump too."""
+    Every morphism is decided by a run: every source symbol is forced into
+    the interfering symbols, so the three morphisms that are IF on every
+    word, and the words that avoid a morphism's interfering symbols, reach
+    the jump too."""
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
@@ -929,7 +1006,7 @@ class _Decisions:
             return self.runs[-1]
 
         monkeypatch.setattr(interference, "_run_automaton", keeping)
-        monkeypatch.setattr(interference, "_if_on_every_word", lambda phi: False)
+        monkeypatch.setattr(interference, "_interfering_symbols", _every_symbol)
 
     def check(self, phi, text):
         """The decision on ``text``, checked equal to the full run's, and
@@ -1081,7 +1158,7 @@ class TestDelay:
             return delay(phi)
 
         monkeypatch.setattr(interference, "_window_delay", counting)
-        monkeypatch.setattr(interference, "_if_on_every_word", lambda phi: False)
+        monkeypatch.setattr(interference, "_interfering_symbols", _every_symbol)
         for name in sorted(NAMED_MORPHISMS):
             phi = fresh(name)
             for n in (1, 2, 16, _SLICE - 1, _SLICE):
@@ -1116,7 +1193,7 @@ def test_jumped_decisions_cost_the_same_on_f_20_and_f_30(monkeypatch):
     # first slice: a jumped decision reads only those, so it takes the same
     # symbol steps and memo misses however long u is
     phi = fresh("fibonacci")
-    is_interference_free_on(phi, fibonacci_word(19))  # the flag's and the delay's steps, once
+    is_interference_free_on(phi, fibonacci_word(19))  # the table's and the delay's steps, once
     steps, misses = _counting_steps(monkeypatch)
     counts = {}
     for i in (19, 20, 29, 30):

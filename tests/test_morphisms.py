@@ -17,6 +17,7 @@ from morphlab import (
     NonInjectiveMorphismError,
     Word,
     is_interference_free_on,
+    is_recognizable_on,
     word,
 )
 from morphlab import morphisms
@@ -203,6 +204,22 @@ class TestIterationBudget:
         assert len(once.iterate(word("b" * 30 + "a" * 8), 1)) == 62
         with pytest.raises(BudgetExceededError):
             once.iterate(word("b" * 30 + "a" * 9), 1)
+
+    def test_apply_and_recognizability_at_the_budget(self, monkeypatch):
+        # both build phi(u) whole: an image of exactly the budget is built,
+        # and one more symbol is refused before anything is built
+        monkeypatch.setattr(morphisms, "LENGTH_BUDGET", 64)
+        at, over = word("a" * 32), word("a" * 32 + "b")
+        assert FIB.apply(at).text == "ab" * 32
+        assert is_recognizable_on(FIB, at)
+
+        def refused(self, text):
+            raise AssertionError("phi(u) was built")
+
+        monkeypatch.setattr(Morphism, "apply_text", refused)
+        for build in (FIB.apply, lambda u: is_recognizable_on(FIB, u)):
+            with pytest.raises(BudgetExceededError, match="phi\\^1\\(u\\) would hold more than 64"):
+                build(over)
 
     def test_unknown_symbols_still_rejected(self, monkeypatch):
         # 3 * 2^5 symbols bound phi^5(abc), which holds 13 + 8 symbols and a
